@@ -1,21 +1,11 @@
-"""Select the elimination kernel at import time.
+"""The elimination kernel.
 
-The compiled extension is preferred when it was built; set MODDEF_PURE=1 to
-force the pure-Python kernel (used by the benchmark and for debugging).
+There is one kernel, the pure-Python Gauss-Jordan elimination in
+``_kernel_py``. Callers reach it through the ``kernel`` attribute of this
+module (``kernel.rref_rational``, ``kernel.rref_mod``) so that a tracer can
+wrap it in one place.
 """
 
-import os
+from . import _kernel_py as kernel
 
-if os.environ.get("MODDEF_PURE"):
-    from . import _kernel_py as kernel
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernel_c as kernel  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernel_py as kernel
-
-        BACKEND = "python"
+BACKEND = "python"

@@ -1,8 +1,8 @@
 """Pure-Python elimination kernels.
 
-Reference implementations of the routines in the optional compiled module
-``moddef._kernel_c``. Both produce the reduced row-echelon form, which is
-unique, so results are identical regardless of which backend is active.
+Gauss-Jordan elimination over the rationals and over a prime field. Both
+produce the reduced row-echelon form, which is unique, so every answer
+downstream is determined by the input alone.
 
 The input row lists are mutated in place; callers pass fresh copies.
 """

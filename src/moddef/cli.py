@@ -261,6 +261,16 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
+def _read_input(path):
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not valid UTF-8 (byte {exc.start}: {exc.reason})") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -272,11 +282,7 @@ def main(argv=None) -> int:
         build_parser().error("a command is required (or use --fixtures)")
 
     try:
-        if args.input is None or args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        text = _read_input(args.input)
         overrides = {
             "dim_r": args.g_dim_r,
             "dim_m": args.g_dim_m,

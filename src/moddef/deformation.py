@@ -61,11 +61,6 @@ class ApproximateDeformation:
             return self.terms[i - 1].value((basis_index,))
         return self.module.zero_operator()
 
-    def truncate(self, order):
-        if order > self.order:
-            raise InputError("cannot truncate upward")
-        return ApproximateDeformation(self.module, self.terms[:order])
-
     def extended_with(self, term: Cochain):
         return ApproximateDeformation(self.module, self.terms + [term])
 

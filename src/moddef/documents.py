@@ -293,7 +293,9 @@ def parse_problem(data, field_override=None, guardrail_overrides=None) -> Proble
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except RecursionError:
+            raise InputError("malformed JSON: nested too deeply") from None
+        except ValueError as exc:  # bad syntax, bad UTF-8 bytes, overlong integers
             raise InputError(f"malformed JSON: {exc}") from None
     _expect(isinstance(data, dict), "document", "expected a JSON object")
 

@@ -51,11 +51,13 @@ def _split(text: str):
     if not _SCALAR_RE.match(text):
         raise InputError(f"bad scalar syntax: {text!r}")
     num, _, den = text.partition("/")
-    if den == "":
-        return int(num), 1
-    if int(den) == 0:
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # past Python's integer-string conversion limit
+        raise InputError(f"scalar has too many digits ({len(text)} characters)") from None
+    if den == 0:
         raise InputError(f"zero denominator in scalar: {text!r}")
-    return int(num), int(den)
+    return num, den
 
 
 class Rationals:
@@ -170,4 +172,8 @@ def field_from_name(name: str):
     m = re.match(r"^F([0-9]+)$", name)
     if not m:
         raise InputError(f"unknown field spec {name!r} (expected 'Q' or 'Fp')")
-    return PrimeField(int(m.group(1)))
+    try:
+        p = int(m.group(1))
+    except ValueError:  # past Python's integer-string conversion limit
+        raise InputError(f"field modulus has too many digits ({len(m.group(1))})") from None
+    return PrimeField(p)

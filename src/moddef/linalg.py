@@ -49,13 +49,6 @@ class Matrix:
             m.data[i][i] = field.one
         return m
 
-    @classmethod
-    def from_rows(cls, field, rows, ncols=None):
-        return cls(field, [list(r) for r in rows], ncols)
-
-    def copy(self):
-        return Matrix(self.field, [row[:] for row in self.data], self.ncols)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -178,20 +171,29 @@ class Matrix:
         """Canonical null-space basis: one vector per free column, that
         column's entry set to one, pivot entries back-filled."""
         reduced, pivots = self.rref()
-        F = self.field
-        pivot_set = set(pivots)
-        basis = []
-        for j in range(self.ncols):
-            if j in pivot_set:
-                continue
-            v = [F.zero] * self.ncols
-            v[j] = F.one
-            for r, pc in enumerate(pivots):
-                coef = reduced.data[r][j]
-                if coef != F.zero:
-                    v[pc] = F.neg(coef)
-            basis.append(v)
-        return basis
+        return _kernel_from_rref(reduced, pivots, self.ncols)
+
+
+def _kernel_from_rref(reduced, pivots, ncols):
+    """Null-space basis of the first ncols columns, read off an echelon
+    form: one vector per free column among them, that column's entry set to
+    one, pivot entries back-filled. Pivots at or right of ncols (an
+    augmented column) are ignored."""
+    F = reduced.field
+    pivots = [pc for pc in pivots if pc < ncols]
+    pivot_set = set(pivots)
+    basis = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        v = [F.zero] * ncols
+        v[j] = F.one
+        for r, pc in enumerate(pivots):
+            coef = reduced.data[r][j]
+            if coef != F.zero:
+                v[pc] = F.neg(coef)
+        basis.append(v)
+    return basis
 
 
 @dataclass
@@ -230,18 +232,5 @@ def solve(a: Matrix, b: list) -> SolveResult:
         particular = [F.zero] * n
         for r, pc in enumerate(pivots):
             particular[pc] = reduced.data[r][n]
-    # kernel of a, read off the same elimination (pivots all lie left of b)
-    pivot_set = {pc for pc in pivots if pc < n}
-    basis = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        v = [F.zero] * n
-        v[j] = F.one
-        for r, pc in enumerate(pivots):
-            if pc < n:
-                coef = reduced.data[r][j]
-                if coef != F.zero:
-                    v[pc] = F.neg(coef)
-        basis.append(v)
-    return SolveResult(particular, basis)
+    # kernel of a, read off the same elimination
+    return SolveResult(particular, _kernel_from_rref(reduced, pivots, n))

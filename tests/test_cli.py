@@ -291,6 +291,40 @@ def test_missing_payload_is_input_error(tmp_path, capsys):
     assert "payload" in capsys.readouterr().err
 
 
+def _fixture_a_bytes(keys, value):
+    """Fixture A as JSON bytes with the entry at keys replaced by value."""
+    doc = copy.deepcopy(FIXTURE_DOCS["A"])
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b'{"field": "Q\xff"}', id="not-utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000"),
+        pytest.param(b'{"options": {"order": ' + b"7" * 5000 + b"}}", id="json-int-5000-digits"),
+        pytest.param(_fixture_a_bytes(("algebra", "unit", 0), "1" * 5000), id="scalar-5000-digits"),
+        pytest.param(_fixture_a_bytes(("field",), "F" + "1" * 5000), id="field-5000-digits"),
+    ],
+)
+def test_malformed_input_exits_2_without_traceback(tmp_path, content):
+    in_path = tmp_path / "malformed.json"
+    in_path.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "moddef", "validate", str(in_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_integrate_requires_order(tmp_path, capsys):
     doc = copy.deepcopy(FIXTURE_DOCS["C"])
     del doc["options"]
@@ -345,22 +379,3 @@ def test_fixtures_flag_and_module_entry_point(tmp_path):
         check=True,
     )
     assert proc.stdout == out.read_bytes()
-
-
-def test_pure_backend_produces_identical_bytes(tmp_path):
-    import os
-
-    in_path = write_doc(tmp_path, "C", FIXTURE_DOCS["C"])
-    default = subprocess.run(
-        [sys.executable, "-m", "moddef", "integrate", str(in_path)],
-        capture_output=True,
-        check=True,
-    )
-    env = dict(os.environ, MODDEF_PURE="1")
-    pure = subprocess.run(
-        [sys.executable, "-m", "moddef", "integrate", str(in_path)],
-        capture_output=True,
-        env=env,
-        check=True,
-    )
-    assert default.stdout == pure.stdout

@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from helpers import frac_mat, oracle_rref, random_matrix, random_mod_matrix
-from moddef import _kernel_py
-from moddef._backend import BACKEND, kernel
 from moddef.errors import InputError
 from moddef.fields import PrimeField, QQ
 from moddef.linalg import Matrix, kernel_basis, rank, rref, solve
@@ -140,24 +138,6 @@ def test_prime_field_rref_and_solve():
         for r, c in enumerate(pivots):
             col = [reduced.data[i][c] for i in range(m.nrows)]
             assert col == [f.one if i == r else f.zero for i in range(m.nrows)]
-
-
-def test_backends_agree():
-    if BACKEND != "compiled":
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(53)
-    for _ in range(15):
-        m = random_matrix(rng, 5, 7, density=0.5)
-        rows = [row[:] for row in m.data]
-        got = kernel.rref_rational([row[:] for row in rows], 7)
-        want = _kernel_py.rref_rational([row[:] for row in rows], 7)
-        assert got == want
-    for _ in range(10):
-        m = random_mod_matrix(rng, 5, 7, 31)
-        rows = [row[:] for row in m.data]
-        got = kernel.rref_mod([row[:] for row in rows], 7, 31)
-        want = _kernel_py.rref_mod([row[:] for row in rows], 7, 31)
-        assert got == want
 
 
 def test_big_modulus_path():
