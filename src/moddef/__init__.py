@@ -9,14 +9,9 @@ rationals or a prime field with no rounding anywhere.
 from ._backend import BACKEND as kernel_backend
 from .algebra import (
     Algebra,
-    BimoduleAction,
-    EndBimodule,
     Module,
     Violation,
-    enveloping_left_module,
-    multiply,
     validate_algebra,
-    validate_bimodule,
     validate_module,
 )
 from .cochain import (
@@ -48,18 +43,16 @@ from .deformation import (
 )
 from .errors import InputError, ResourceError
 from .fields import PrimeField, QQ, Rationals, field_from_name
-from .linalg import Matrix, SolveResult, kernel_basis, rank, rref, solve
+from .linalg import Matrix, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Algebra",
     "ApproximateDeformation",
-    "BimoduleAction",
     "Cochain",
     "CohomologyReport",
     "DeformationViolation",
-    "EndBimodule",
     "FormalAutomorphism",
     "InputError",
     "Matrix",
@@ -70,7 +63,6 @@ __all__ = [
     "Rationals",
     "ResourceError",
     "RigidityResult",
-    "SolveResult",
     "Violation",
     "check_deformation",
     "coboundary_witness",
@@ -79,7 +71,6 @@ __all__ = [
     "conjugate",
     "differential",
     "differential_matrix",
-    "enveloping_left_module",
     "equivalent_one_step",
     "extend_once",
     "field_from_name",
@@ -87,17 +78,12 @@ __all__ = [
     "integrate",
     "is_cocycle",
     "kernel_backend",
-    "kernel_basis",
-    "multiply",
     "normalize",
     "obstruction",
     "obstruction_outcome",
-    "rank",
     "rigidity_check",
-    "rref",
     "solve",
     "validate_algebra",
-    "validate_bimodule",
     "validate_module",
     "__version__",
 ]

@@ -100,13 +100,6 @@ class Algebra:
                         support[k].append((i, j, c))
         return tuple(tuple(s) for s in support)
 
-    @cached_property
-    def violations(self):
-        return validate_algebra(self)
-
-    def is_valid(self):
-        return not self.violations
-
 
 class Module:
     """Left module over an algebra: one action matrix per basis element."""
@@ -158,13 +151,6 @@ class Module:
     def identity_operator(self):
         return Matrix.identity(self.field, self.dim)
 
-    @cached_property
-    def violations(self):
-        return validate_module(self)
-
-    def is_valid(self):
-        return not self.violations
-
 
 def validate_algebra(a: Algebra) -> list[Violation]:
     """Check associativity on all basis triples and both unit laws.
@@ -212,134 +198,3 @@ def validate_module(m: Module) -> list[Violation]:
     if m.act(m.algebra.unit) != m.identity_operator():
         out.append(Violation("unit", (), "unit does not act as the identity"))
     return out
-
-
-def multiply(a: Algebra, u, v):
-    return a.multiply(u, v)
-
-
-class EndBimodule:
-    """Two-sided action of an algebra on the operators of one of its
-    modules: (left of i)(g) composes the action of e_i after g, (right
-    of j)(g) composes it before g."""
-
-    def __init__(self, module: Module):
-        self.module = module
-
-    def left(self, i, g: Matrix) -> Matrix:
-        return self.module.action[i] @ g
-
-    def right(self, i, g: Matrix) -> Matrix:
-        return g @ self.module.action[i]
-
-    def left_operator(self, i) -> Matrix:
-        """The left action as a matrix on row-major flattened operators."""
-        d = self.module.dim
-        return self.module.action[i].kron(Matrix.identity(self.module.field, d))
-
-    def right_operator(self, i) -> Matrix:
-        d = self.module.dim
-        return Matrix.identity(self.module.field, d).kron(self.module.action[i].transpose())
-
-    def action_data(self):
-        a = self.module.algebra
-        return BimoduleAction(
-            a,
-            self.module.dim * self.module.dim,
-            [self.left_operator(i) for i in range(a.dim)],
-            [self.right_operator(i) for i in range(a.dim)],
-        )
-
-
-@dataclass
-class BimoduleAction:
-    """A two-sided action of an algebra on a finite-dimensional space,
-    both sides given as matrices acting on column vectors."""
-
-    algebra: Algebra
-    dim: int
-    left: list
-    right: list
-
-
-def validate_bimodule(b: BimoduleAction) -> list[Violation]:
-    a = b.algebra
-    F = a.field
-    out = []
-    if len(b.left) != a.dim or len(b.right) != a.dim:
-        raise InputError("need one left and one right matrix per basis element")
-    for m in list(b.left) + list(b.right):
-        if m.nrows != b.dim or m.ncols != b.dim:
-            raise InputError("bimodule matrix shape does not match the space dimension")
-    ident = Matrix.identity(F, b.dim)
-
-    def combine(mats, coords):
-        out_m = Matrix.zeros(F, b.dim, b.dim)
-        for c, m in zip(coords, mats):
-            if c != F.zero:
-                out_m = out_m + m.scale(c)
-        return out_m
-
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if b.left[i] @ b.left[j] != combine(b.left, a.structure[i][j]):
-                out.append(Violation("left-multiplicativity", (i, j), "left action is not multiplicative"))
-            # right actions compose in the opposite order
-            if b.right[j] @ b.right[i] != combine(b.right, a.structure[i][j]):
-                out.append(Violation("right-multiplicativity", (i, j), "right action is not anti-multiplicative"))
-            if b.left[i] @ b.right[j] != b.right[j] @ b.left[i]:
-                out.append(Violation("commutation", (i, j), "left and right actions do not commute"))
-    if combine(b.left, a.unit) != ident:
-        out.append(Violation("left-unit", (), "unit does not act as identity on the left"))
-    if combine(b.right, a.unit) != ident:
-        out.append(Violation("right-unit", (), "unit does not act as identity on the right"))
-    return out
-
-
-def enveloping_left_module(a: Algebra, bimodule: BimoduleAction):
-    """Convert a two-sided action into a left module over the algebra
-    tensored with its own opposite: the pair (i, p) acts by the left
-    action of i composed with the right action of p.
-
-    Pair indices flatten as i * dim + p. Returns (algebra, module)."""
-    if bimodule.algebra != a:
-        raise InputError("bimodule is over a different algebra")
-    issues = validate_bimodule(bimodule)
-    if issues:
-        raise InputError(f"invalid bimodule action: {issues[0].message}")
-    F = a.field
-    d = a.dim
-    dim2 = d * d
-    zero = [F.zero] * dim2
-
-    def pair(i, p):
-        return i * d + p
-
-    structure = [[None] * dim2 for _ in range(dim2)]
-    for i in range(d):
-        for p in range(d):
-            for j in range(d):
-                for q in range(d):
-                    coords = zero[:]
-                    left = a.structure[i][j]
-                    right = a.structure[q][p]
-                    for k, ck in enumerate(left):
-                        if ck == F.zero:
-                            continue
-                        for r, cr in enumerate(right):
-                            if cr != F.zero:
-                                coords[pair(k, r)] = F.mul(ck, cr)
-                    structure[pair(i, p)][pair(j, q)] = coords
-    unit = zero[:]
-    for i, ui in enumerate(a.unit):
-        if ui == F.zero:
-            continue
-        for p, up in enumerate(a.unit):
-            if up != F.zero:
-                unit[pair(i, p)] = F.mul(ui, up)
-    labels = None
-    if a.labels is not None:
-        labels = [f"{a.labels[i]}(*){a.labels[p]}" for i in range(d) for p in range(d)]
-    env = Algebra(F, structure, unit, labels)
-    action = [bimodule.left[i] @ bimodule.right[p] for i in range(d) for p in range(d)]
-    return env, Module(env, action)

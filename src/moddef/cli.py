@@ -89,8 +89,8 @@ def _require_deformation(problem, name="deformation"):
     return d
 
 
-def _certificate(cochain, degree_cap):
-    cert = cokernel_certificate(cochain, degree_cap)
+def _certificate(cochain):
+    cert = cokernel_certificate(cochain)
     if cert is None:
         return None
     y, pairing = cert
@@ -101,16 +101,15 @@ def _certificate(cochain, degree_cap):
     }
 
 
-def _outcome_payload(outcome: ObstructionOutcome, degree_cap):
+def _outcome_payload(outcome: ObstructionOutcome):
     payload = doc.encode_obstruction_outcome(outcome)
     if outcome.witness is None:
-        payload["no_witness_certificate"] = _certificate(-outcome.obstruction, degree_cap)
+        payload["no_witness_certificate"] = _certificate(-outcome.obstruction)
     return payload
 
 
 def run(command, problem: doc.ProblemDocument):
     """Dispatch one command; returns (result dict, exit code)."""
-    cap = problem.guardrails.degree
     result = {"command": command}
 
     if command == "validate":
@@ -129,9 +128,10 @@ def run(command, problem: doc.ProblemDocument):
 
     if command == "cohomology":
         top = problem.options.degree if problem.options.degree is not None else 2
+        cap = problem.guardrails.degree
         if top > cap:
             raise ResourceError(f"degree {top} exceeds the guardrail {cap}")
-        reports = [cohomology(module, n, cap) for n in range(top + 1)]
+        reports = [cohomology(module, n) for n in range(top + 1)]
         result["verdict"] = "computed"
         result["cohomology"] = [doc.encode_cohomology_report(r) for r in reports]
         result["dims"] = {f"H{r.degree}": r.dim_cohomology for r in reports}
@@ -158,28 +158,28 @@ def run(command, problem: doc.ProblemDocument):
 
     if command == "coboundary":
         f = _require(problem, "cochain")
-        witness = coboundary_witness(f, cap)
+        witness = coboundary_witness(f)
         if witness is not None:
             result["verdict"] = "coboundary"
             result["witness"] = doc.encode_cochain(witness)
             return result, 0
         result["verdict"] = "not-a-coboundary"
-        result["certificate"] = _certificate(f, cap)
+        result["certificate"] = _certificate(f)
         return result, 1
 
     if command == "obstruction":
         d = _require_deformation(problem)
-        outcome = obstruction_outcome(d, cap)
-        result["obstruction_outcome"] = _outcome_payload(outcome, cap)
+        outcome = obstruction_outcome(d)
+        result["obstruction_outcome"] = _outcome_payload(outcome)
         result["verdict"] = "unobstructed" if outcome.class_is_zero else "obstructed"
         return result, 0 if outcome.class_is_zero else 1
 
     if command == "extend":
         d = _require_deformation(problem)
-        step = extend_once(d, cap)
+        step = extend_once(d)
         if isinstance(step, ObstructionOutcome):
             result["verdict"] = "obstructed"
-            result["obstruction_outcome"] = _outcome_payload(step, cap)
+            result["obstruction_outcome"] = _outcome_payload(step)
             return result, 1
         result["verdict"] = "extended"
         result["deformation"] = doc.encode_deformation(step)
@@ -190,7 +190,7 @@ def run(command, problem: doc.ProblemDocument):
         order = problem.options.order
         if order is None:
             raise InputError("integrate needs a truncation order (options.order or --order)")
-        out = integrate(sigma, order, cap)
+        out = integrate(sigma, order)
         if isinstance(out, ApproximateDeformation):
             result["verdict"] = "integrated"
             result["order"] = out.order
@@ -199,12 +199,12 @@ def run(command, problem: doc.ProblemDocument):
         reached, outcome = out
         result["verdict"] = "obstructed"
         result["reached_order"] = reached
-        result["obstruction_outcome"] = _outcome_payload(outcome, cap)
+        result["obstruction_outcome"] = _outcome_payload(outcome)
         return result, 1
 
     if command == "normalize":
         d = _require_deformation(problem)
-        normalized, auto, leading = normalize(d, cap)
+        normalized, auto, leading = normalize(d)
         result["deformation"] = doc.encode_deformation(normalized)
         result["automorphism"] = doc.encode_automorphism(auto)
         if leading is None:
@@ -213,7 +213,7 @@ def run(command, problem: doc.ProblemDocument):
             return result, 0
         result["verdict"] = "nontrivial-class"
         result["leading"] = leading
-        result["certificate"] = _certificate(normalized.terms[leading - 1], cap)
+        result["certificate"] = _certificate(normalized.terms[leading - 1])
         return result, 1
 
     if command == "conjugate":
@@ -235,11 +235,11 @@ def run(command, problem: doc.ProblemDocument):
         result["verdict"] = "witness-absent"
         delta = d2.terms[-1] - d1.terms[-1]
         result["difference"] = doc.encode_cochain(delta)
-        result["certificate"] = _certificate(delta, cap)
+        result["certificate"] = _certificate(delta)
         return result, 1
 
     if command == "rigidity":
-        out = rigidity_check(module, cap)
+        out = rigidity_check(module)
         result["dims"] = {"H1": out.h1.dim_cohomology}
         if out.certified:
             result["verdict"] = "rigid-certified"

@@ -29,7 +29,9 @@ from .algebra import Module
 from .errors import InputError, ResourceError
 from .linalg import Matrix, solve
 
-DEFAULT_DEGREE_CAP = 3
+# Largest differential matrix (rows x cols) that differential_matrix will
+# build: 2**24 cells, 128 MiB of row pointers for one dense copy.
+MAX_DIFFERENTIAL_CELLS = 2**24
 
 
 class Cochain:
@@ -162,10 +164,6 @@ def _tuple_index(key, d_r):
     return idx
 
 
-def cochain_space_dim(module, degree):
-    return module.algebra.dim**degree * module.dim * module.dim
-
-
 def differential(f: Cochain) -> Cochain:
     """Degree n -> n+1, assembled sparsely from the stored entries."""
     mod = f.module
@@ -199,19 +197,20 @@ def is_cocycle(f: Cochain) -> bool:
     return differential(f).is_zero()
 
 
-def differential_matrix(module, degree, degree_cap=DEFAULT_DEGREE_CAP) -> Matrix:
+def differential_matrix(module, degree) -> Matrix:
     """The degree-n differential as a matrix in the flattening order,
-    mapping degree-n coordinates to degree-(n+1) coordinates."""
+    mapping degree-n coordinates to degree-(n+1) coordinates. Refuses,
+    before allocating, a matrix of more than MAX_DIFFERENTIAL_CELLS cells."""
     if degree < 0:
         raise InputError("degree must be >= 0")
     d_r = module.algebra.dim
     d_m = module.dim
     nrows = d_r ** (degree + 1) * d_m * d_m
     ncols = d_r**degree * d_m * d_m
-    if degree > degree_cap:
+    if nrows * ncols > MAX_DIFFERENTIAL_CELLS:
         raise ResourceError(
-            f"degree {degree} exceeds the cap {degree_cap}; the differential "
-            f"matrix would be {nrows}x{ncols}"
+            f"the degree-{degree} differential would be {nrows}x{ncols}, "
+            f"over the limit of {MAX_DIFFERENTIAL_CELLS} cells"
         )
     out = Matrix.zeros(module.field, nrows, ncols)
     col = 0
@@ -234,24 +233,24 @@ def differential_matrix(module, degree, degree_cap=DEFAULT_DEGREE_CAP) -> Matrix
     return out
 
 
-def coboundary_witness(f: Cochain, degree_cap=DEFAULT_DEGREE_CAP):
+def coboundary_witness(f: Cochain):
     """The canonical g one degree down with differential(g) = f, or None.
     Free variables of the underlying linear system are set to zero."""
     if f.degree < 1:
         raise InputError("coboundary witnesses exist in degree >= 1 only")
-    d = differential_matrix(f.module, f.degree - 1, degree_cap)
-    res = solve(d, f.flatten())
-    if res.particular is None:
+    d = differential_matrix(f.module, f.degree - 1)
+    x = solve(d, f.flatten())
+    if x is None:
         return None
-    return Cochain.unflatten(f.module, f.degree - 1, res.particular)
+    return Cochain.unflatten(f.module, f.degree - 1, x)
 
 
-def cokernel_certificate(f: Cochain, degree_cap=DEFAULT_DEGREE_CAP):
+def cokernel_certificate(f: Cochain):
     """When f has no coboundary witness, a functional annihilating the
     image of the differential but not f: returns (vector y, y . f) with
     y orthogonal to every column of the differential matrix and pairing
     nonzero. Returns None when a witness exists."""
-    d = differential_matrix(f.module, f.degree - 1, degree_cap)
+    d = differential_matrix(f.module, f.degree - 1)
     b = f.flatten()
     F = f.module.field
     for y in d.transpose().kernel_basis():
@@ -273,7 +272,7 @@ class CohomologyReport:
     representatives: list
 
 
-def cohomology(module, degree, degree_cap=DEFAULT_DEGREE_CAP) -> CohomologyReport:
+def cohomology(module, degree) -> CohomologyReport:
     """Dimensions by rank-nullity on the differential matrices, plus a
     canonical list of representative cocycles spanning a complement of the
     coboundaries inside the cocycles.
@@ -283,35 +282,26 @@ def cohomology(module, degree, degree_cap=DEFAULT_DEGREE_CAP) -> CohomologyRepor
     reproducible byte for byte."""
     if degree < 0:
         raise InputError("degree must be >= 0")
-    F = module.field
-    d_n = differential_matrix(module, degree, degree_cap)
+    d_n = differential_matrix(module, degree)
     kernel = d_n.kernel_basis()
     dim_z = len(kernel)
     if degree == 0:
-        boundary_cols = []
+        boundary_rows = [[] for _ in range(d_n.ncols)]  # no coboundaries
         dim_b = 0
     else:
-        d_prev = differential_matrix(module, degree - 1, degree_cap)
+        d_prev = differential_matrix(module, degree - 1)
+        boundary_rows = d_prev.data
         dim_b = d_prev.rank()
-        cols = d_prev.transpose().data  # columns of d_prev as rows
-        boundary_cols = list(cols)
     dim_h = dim_z - dim_b
     reps = []
     if dim_h > 0:
-        width = len(boundary_cols) + len(kernel)
+        # columns: those of d_{n-1}, then the kernel vectors
+        nb = len(boundary_rows[0])
         stacked = Matrix(
-            F,
-            [
-                [
-                    (boundary_cols[j][i] if j < len(boundary_cols) else kernel[j - len(boundary_cols)][i])
-                    for j in range(width)
-                ]
-                for i in range(cochain_space_dim(module, degree))
-            ],
-            width,
+            module.field,
+            [row + [v[i] for v in kernel] for i, row in enumerate(boundary_rows)],
+            nb + len(kernel),
         )
         _, pivots = stacked.rref()
-        for p in pivots:
-            if p >= len(boundary_cols):
-                reps.append(Cochain.unflatten(module, degree, kernel[p - len(boundary_cols)]))
+        reps = [Cochain.unflatten(module, degree, kernel[p - nb]) for p in pivots if p >= nb]
     return CohomologyReport(degree, dim_z, dim_b, dim_h, reps)

