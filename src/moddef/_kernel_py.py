@@ -1,104 +1,63 @@
-"""Pure-Python elimination kernels.
+"""Pure-Python elimination kernel.
 
-Gauss-Jordan elimination over the rationals and over a prime field. Both
-produce the reduced row-echelon form, which is unique, so every answer
-downstream is determined by the input alone.
+One Gauss-Jordan elimination, over the rationals or over a prime field. It
+produces the reduced row-echelon form, which is unique, so every answer
+downstream is determined by the input alone. Each pivot row's nonzero
+columns are listed once, and every other row is eliminated through that
+list only: the differentials are very sparse.
 
 The input row lists are mutated in place; callers pass fresh copies.
 """
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def rref_rational(rows, ncols):
-    """Gauss-Jordan elimination over the rationals.
+def _rref(rows, ncols, p):
+    """Gauss-Jordan elimination over Q (p is None) or over F_p.
 
-    rows: list of lists of Fraction, each of length ncols (mutated).
-    Returns (rows, pivot column tuple).
-    """
+    rows: lists of length ncols (mutated); over F_p, ints in [0, p).
+    Returns (rows, pivot column tuple)."""
     nrows = len(rows)
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr == -1:
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
             continue
-        if pr != r:
-            rows[pr], rows[r] = rows[r], rows[pr]
+        rows[pr], rows[r] = rows[r], rows[pr]
         piv = rows[r]
+        # the pivot column itself is listed, so eliminating it leaves a zero
+        support = [j for j in range(c, ncols) if piv[j]]
         pval = piv[c]
         if pval != 1:
-            inv = 1 / pval
-            piv[c] = _ONE
-            for j in range(c + 1, ncols):
-                if piv[j]:
-                    piv[j] *= inv
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
+            # Fraction(1) / pval stays exact even when the caller passed ints
+            inv = _ONE / pval if p is None else pow(pval, p - 2, p)
+            for j in support:
+                piv[j] = piv[j] * inv if p is None else piv[j] * inv % p
+        entries = [(j, piv[j]) for j in support]
+        for i, row in enumerate(rows):
             f = row[c]
-            if not f:
+            if not f or i == r:
                 continue
-            row[c] = _ZERO
-            for j in range(c + 1, ncols):
-                pj = piv[j]
-                if pj:
-                    row[j] = row[j] - f * pj
+            if p is None:
+                for j, pj in entries:
+                    row[j] -= f * pj
+            else:
+                for j, pj in entries:
+                    row[j] = (row[j] - f * pj) % p
         pivots.append(c)
-        r += 1
     return rows, tuple(pivots)
+
+
+def rref_rational(rows, ncols):
+    """Gauss-Jordan elimination over the rationals."""
+    return _rref(rows, ncols, None)
 
 
 def rref_mod(rows, ncols, p):
-    """Gauss-Jordan elimination over the integers modulo a prime p.
-
-    rows: list of lists of int in [0, p) (mutated). Returns (rows, pivots).
-    """
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr == -1:
-            continue
-        if pr != r:
-            rows[pr], rows[r] = rows[r], rows[pr]
-        piv = rows[r]
-        pval = piv[c]
-        if pval != 1:
-            inv = pow(pval, p - 2, p)
-            piv[c] = 1
-            for j in range(c + 1, ncols):
-                if piv[j]:
-                    piv[j] = piv[j] * inv % p
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if not f:
-                continue
-            row[c] = 0
-            for j in range(c + 1, ncols):
-                pj = piv[j]
-                if pj:
-                    row[j] = (row[j] - f * pj) % p
-        pivots.append(c)
-        r += 1
-    return rows, tuple(pivots)
+    """Gauss-Jordan elimination over the integers modulo a prime p."""
+    return _rref(rows, ncols, p)

@@ -164,33 +164,60 @@ def _tuple_index(key, d_r):
     return idx
 
 
+def _column(module, key, r, c):
+    """The image under the differential of the unit coordinate (key, r, c):
+    pairs (flat degree-(n+1) coordinate, value); a coordinate may repeat.
+    Tuple indices are computed, not built."""
+    F = module.field
+    d_r, d_m = module.algebra.dim, module.dim
+    m2 = d_m * d_m
+    n = len(key)
+    t = _tuple_index(key, d_r)
+    last_negative = n % 2 == 0
+    for a, act in enumerate(module.action):
+        # a . f(key) at (a,) + key: column r of action[a] into block column c;
+        # (-1)^(n+1) f(key) . a at key + (a,): row c of action[a] into block row r
+        head = (a * d_r**n + t) * m2 + c
+        tail = (t * d_r + a) * m2 + r * d_m
+        for j, v in enumerate(act.data[c]):
+            if act.data[j][r]:
+                yield head + j * d_m, act.data[j][r]
+            if v:
+                yield tail + j, F.neg(v) if last_negative else v
+    # (-1)^i f(..., k_{i-1} k_i, ...), where e_a e_b has a k_{i-1} component
+    w = d_r**n
+    for i in range(1, n + 1):
+        w //= d_r  # d_r^(n-i), the weight of the digits after position i
+        high, low = divmod(t, w * d_r)
+        for a, b, coef in module.algebra.product_support[key[i - 1]]:
+            idx = ((high * d_r + a) * d_r + b) * w + low % w
+            yield idx * m2 + r * d_m + c, F.neg(coef) if i % 2 else coef
+
+
 def differential(f: Cochain) -> Cochain:
-    """Degree n -> n+1, assembled sparsely from the stored entries."""
+    """Degree n -> n+1, summed over the nonzero coordinates of f into
+    sparse output blocks."""
     mod = f.module
-    alg = mod.algebra
     F = mod.field
-    n = f.degree
-    support = alg.product_support
-    last_negative = (n + 1) % 2 == 1
-    acc: dict = {}
-
-    def add_to(key, mat):
-        cur = acc.get(key)
-        acc[key] = mat if cur is None else cur + mat
-
+    d_r, d_m = mod.algebra.dim, mod.dim
+    n = f.degree + 1
+    blocks = {}
     for key, mat in f.entries.items():
-        for a in range(alg.dim):
-            add_to((a,) + key, mod.action[a] @ mat)
-            tail = mat @ mod.action[a]
-            add_to(key + (a,), -tail if last_negative else tail)
-        for i in range(1, n + 1):
-            negative = i % 2 == 1
-            u = key[i - 1]
-            head, rest = key[: i - 1], key[i:]
-            for a, b, coef in support[u]:
-                scaled = mat.scale(F.neg(coef) if negative else coef)
-                add_to(head + (a, b) + rest, scaled)
-    return Cochain(mod, n + 1, acc)
+        for r, row in enumerate(mat.data):
+            for c, x in enumerate(row):
+                if not x:
+                    continue
+                for idx, v in _column(mod, key, r, c):
+                    t, rem = divmod(idx, d_m * d_m)
+                    if t not in blocks:
+                        blocks[t] = Matrix.zeros(F, d_m, d_m)
+                    cells = blocks[t].data[rem // d_m]
+                    cells[rem % d_m] = F.add(cells[rem % d_m], F.mul(x, v))
+    entries = {
+        tuple(t // d_r ** (n - 1 - j) % d_r for j in range(n)): block
+        for t, block in blocks.items()
+    }
+    return Cochain(mod, n, entries)
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -213,22 +240,14 @@ def differential_matrix(module, degree) -> Matrix:
             f"over the limit of {MAX_DIFFERENTIAL_CELLS} cells"
         )
     out = Matrix.zeros(module.field, nrows, ncols)
+    add = module.field.add
     col = 0
-    one = module.field.one
-    zero = module.field.zero
     for key in product(range(d_r), repeat=degree):
         for r in range(d_m):
             for c in range(d_m):
-                block = Matrix.zeros(module.field, d_m, d_m)
-                block.data[r][c] = one
-                image = differential(Cochain(module, degree, {key: block}))
-                for ikey, mat in image.entries.items():
-                    base = _tuple_index(ikey, d_r) * d_m * d_m
-                    for rr in range(d_m):
-                        irow = mat.data[rr]
-                        for cc in range(d_m):
-                            if irow[cc] != zero:
-                                out.data[base + rr * d_m + cc][col] = irow[cc]
+                for idx, v in _column(module, key, r, c):
+                    row = out.data[idx]
+                    row[col] = add(row[col], v)
                 col += 1
     return out
 

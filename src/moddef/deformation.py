@@ -34,6 +34,18 @@ from .errors import InputError
 from .linalg import Matrix
 
 
+def _series_term(left, right, n):
+    """Term n of the product of two truncated operator series given as
+    term lists: the sum of left[i] @ right[n - i] over the indices both
+    lists hold, skipping zero factors."""
+    first = left[0]
+    acc = Matrix.zeros(first.field, first.nrows, right[0].ncols)
+    for i in range(max(0, n - len(right) + 1), min(n, len(left) - 1) + 1):
+        if not (left[i].is_zero() or right[n - i].is_zero()):
+            acc = acc + left[i] @ right[n - i]
+    return acc
+
+
 class ApproximateDeformation:
     """Order-m deformation: degree-1 terms xi_1..xi_m over a module."""
 
@@ -51,14 +63,11 @@ class ApproximateDeformation:
     def trivial(cls, module, order=0):
         return cls(module, [Cochain.zero(module, 1) for _ in range(order)])
 
-    def term_value(self, i, basis_index) -> Matrix:
-        """Coefficient operator of t^i applied to a basis element; i = 0 is
-        the undeformed action."""
-        if i == 0:
-            return self.module.action[basis_index]
-        if i <= self.order:
-            return self.terms[i - 1].value((basis_index,))
-        return self.module.zero_operator()
+    def series(self, basis_index):
+        """Coefficient operators of t^0..t^order applied to a basis element;
+        t^0 is the undeformed action."""
+        key = (basis_index,)
+        return [self.module.action[basis_index]] + [t.value(key) for t in self.terms]
 
     def extended_with(self, term: Cochain):
         return ApproximateDeformation(self.module, self.terms + [term])
@@ -99,18 +108,19 @@ class FormalAutomorphism:
             return self.terms[i - 1]
         return self.module.zero_operator()
 
+    def series(self, order):
+        """Terms 0..order as a list."""
+        return [self.term(i) for i in range(order + 1)]
+
     def invert(self, order=None):
-        """Truncated inverse by the recursion psi_n = -sum phi_i psi_{n-i}."""
+        """Truncated inverse by the recursion psi_n = -sum_{i>=1} phi_i psi_{n-i}."""
         if order is None:
             order = self.order
-        psi = [self.module.identity_operator()]
+        phi = self.series(order)
+        psi = [phi[0]]
         for n in range(1, order + 1):
-            acc = Matrix.zeros(self.module.field, self.module.dim, self.module.dim)
-            for i in range(1, n + 1):
-                t = self.term(i)
-                if not t.is_zero():
-                    acc = acc + t @ psi[n - i]
-            psi.append(-acc)
+            # psi holds terms 0..n-1, so the sum starts at i = 1
+            psi.append(-_series_term(phi, psi, n))
         return FormalAutomorphism(self.module, psi[1:])
 
     def compose(self, other, order=None):
@@ -119,18 +129,10 @@ class FormalAutomorphism:
             raise InputError("automorphisms live over different modules")
         if order is None:
             order = max(self.order, other.order)
-        terms = []
-        for n in range(1, order + 1):
-            acc = Matrix.zeros(self.module.field, self.module.dim, self.module.dim)
-            for i in range(n + 1):
-                a = self.term(i)
-                if a.is_zero():
-                    continue
-                b = other.term(n - i)
-                if not b.is_zero():
-                    acc = acc + a @ b
-            terms.append(acc)
-        return FormalAutomorphism(self.module, terms)
+        left, right = self.series(order), other.series(order)
+        return FormalAutomorphism(
+            self.module, [_series_term(left, right, n) for n in range(1, order + 1)]
+        )
 
     def is_identity(self):
         return all(t.is_zero() for t in self.terms)
@@ -165,22 +167,15 @@ def check_deformation(d: ApproximateDeformation):
     mod = d.module
     alg = mod.algebra
     F = mod.field
+    series = [d.series(k) for k in range(alg.dim)]
     for n in range(d.order + 1):
         for i in range(alg.dim):
             for j in range(alg.dim):
                 lhs = Matrix.zeros(F, mod.dim, mod.dim)
                 for k, c in enumerate(alg.structure[i][j]):
                     if c != F.zero:
-                        lhs = lhs + d.term_value(n, k).scale(c)
-                rhs = Matrix.zeros(F, mod.dim, mod.dim)
-                for p in range(n + 1):
-                    a = d.term_value(p, i)
-                    if a.is_zero():
-                        continue
-                    b = d.term_value(n - p, j)
-                    if not b.is_zero():
-                        rhs = rhs + a @ b
-                if lhs != rhs:
+                        lhs = lhs + series[k][n].scale(c)
+                if lhs != _series_term(series[i], series[j], n):
                     return DeformationViolation(n, i, j)
     return None
 
@@ -196,23 +191,15 @@ def infinitesimal(d: ApproximateDeformation):
 
 def obstruction(d: ApproximateDeformation) -> Cochain:
     """Degree-2 cochain blocking the next-order extension; the empty sum at
-    order 0 gives the zero cochain."""
-    mod = d.module
-    entries = {}
-    d_r = mod.algebra.dim
-    for a in range(d_r):
-        for b in range(d_r):
-            acc = Matrix.zeros(mod.field, mod.dim, mod.dim)
-            for i in range(1, d.order + 1):
-                left = d.term_value(i, a)
-                if left.is_zero():
-                    continue
-                right = d.term_value(d.order + 1 - i, b)
-                if not right.is_zero():
-                    acc = acc + left @ right
-            if not acc.is_zero():
-                entries[(a, b)] = acc
-    return Cochain(mod, 2, entries)
+    order 0 gives the zero cochain. It is term m+1 of the product of the
+    deformed actions, whose own term m+1 is zero."""
+    series = [d.series(k) for k in range(d.module.algebra.dim)]
+    entries = {
+        (a, b): _series_term(xa, xb, d.order + 1)
+        for a, xa in enumerate(series)
+        for b, xb in enumerate(series)
+    }
+    return Cochain(d.module, 2, entries)
 
 
 @dataclass
@@ -264,33 +251,21 @@ def integrate(sigma: Cochain, target_order: int):
 
 def conjugate(phi: FormalAutomorphism, d: ApproximateDeformation) -> ApproximateDeformation:
     """The deformation with terms sum_{i+j+k=n} psi_i xi_j(-) phi_k, where
-    psi is the truncated inverse of phi; truncated at the order of d."""
+    psi is the truncated inverse of phi; truncated at the order of d.
+    Computed as psi . (xi . phi), one series product at a time."""
     if phi.module != d.module:
         raise InputError("automorphism and deformation live over different modules")
     mod = d.module
     m = d.order
-    psi = phi.invert(m)
-    terms = []
-    d_r = mod.algebra.dim
-    for n in range(1, m + 1):
-        entries = {}
-        for a in range(d_r):
-            acc = Matrix.zeros(mod.field, mod.dim, mod.dim)
-            for i in range(n + 1):
-                left = psi.term(i)
-                if left.is_zero():
-                    continue
-                for j in range(n - i + 1):
-                    mid = d.term_value(j, a)
-                    if mid.is_zero():
-                        continue
-                    right = phi.term(n - i - j)
-                    if not right.is_zero():
-                        acc = acc + left @ mid @ right
-            if not acc.is_zero():
-                entries[(a,)] = acc
-        terms.append(Cochain(mod, 1, entries))
-    return ApproximateDeformation(mod, terms)
+    psi = phi.invert(m).series(m)
+    phi_terms = phi.series(m)
+    entries = [{} for _ in range(m)]
+    for a in range(mod.algebra.dim):
+        xi = d.series(a)
+        xi_phi = [_series_term(xi, phi_terms, k) for k in range(m + 1)]
+        for n in range(1, m + 1):
+            entries[n - 1][(a,)] = _series_term(psi, xi_phi, n)
+    return ApproximateDeformation(mod, [Cochain(mod, 1, e) for e in entries])
 
 
 def normalize(d: ApproximateDeformation):

@@ -33,6 +33,9 @@ class Guardrails:
 
 DEFAULT_GUARDRAILS = Guardrails()
 
+# Past degree 11, any algebra of dimension >= 2 meets the cell bound of d_n.
+MAX_DEGREE_GUARDRAIL = 16
+
 
 @dataclass
 class Options:
@@ -66,10 +69,12 @@ def _get(data, key, path, required=True):
     return data[key]
 
 
-def _int(value, path, minimum=None):
+def _int(value, path, minimum=None, maximum=None):
     _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
     if minimum is not None:
         _expect(value >= minimum, path, f"must be >= {minimum}")
+    if maximum is not None:
+        _expect(value <= maximum, path, f"must be <= {maximum}")
     return value
 
 
@@ -267,21 +272,23 @@ def encode_obstruction_outcome(out: ObstructionOutcome):
 
 def _merge_guardrails(doc_options, cli_overrides):
     """Document guardrails, then command-line overrides (keyed like the
-    document's, named by their flag in errors); each must be >= 1."""
+    document's, named by their flag in errors); each must be >= 1, and the
+    degree at most MAX_DEGREE_GUARDRAIL."""
     fields = {}
+    top = {"degree": MAX_DEGREE_GUARDRAIL}
     if isinstance(doc_options, dict):
         raw = doc_options.get("guardrails")
         if raw is not None:
             _expect(isinstance(raw, dict), "options.guardrails", "expected an object")
             for key in ("dim_r", "dim_m", "order", "degree"):
                 if key in raw:
-                    fields[key] = _int(raw[key], f"options.guardrails.{key}", minimum=1)
+                    fields[key] = _int(raw[key], f"options.guardrails.{key}", 1, top.get(key))
             unknown = set(raw) - {"dim_r", "dim_m", "order", "degree"}
             if unknown:
                 raise InputError(f"options.guardrails: unknown keys {sorted(unknown)}")
     for key, value in (cli_overrides or {}).items():
         if value is not None:
-            fields[key] = _int(value, "--guardrail-" + key.replace("_", "-"), minimum=1)
+            fields[key] = _int(value, "--guardrail-" + key.replace("_", "-"), 1, top.get(key))
     return replace(DEFAULT_GUARDRAILS, **fields)
 
 

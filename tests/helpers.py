@@ -70,6 +70,37 @@ def oracle_rref(mat: Matrix):
 
 
 # ---------------------------------------------------------------------------
+# operator-form differential oracle
+
+
+def reference_differential(f: Cochain) -> Cochain:
+    """The differential of f straight from the defining formula, with
+    operator values: a0 . f(a1, ..., an) and f(a0, ..., a_{n-1}) . an as
+    matrix products, each inner product a_{i-1} a_i expanded through the
+    structure constants, all summed per output tuple."""
+    mod = f.module
+    alg = mod.algebra
+    F = mod.field
+    n = f.degree
+    acc = {}
+
+    def add_to(key, mat):
+        cur = acc.get(key)
+        acc[key] = mat if cur is None else cur + mat
+
+    for key, mat in f.entries.items():
+        for a in range(alg.dim):
+            add_to((a,) + key, mod.action[a] @ mat)
+            tail = mat @ mod.action[a]
+            add_to(key + (a,), tail if n % 2 else -tail)
+        for i in range(1, n + 1):
+            head, rest = key[: i - 1], key[i:]
+            for a, b, coef in alg.product_support[key[i - 1]]:
+                add_to(head + (a, b) + rest, mat.scale(F.neg(coef) if i % 2 else coef))
+    return Cochain(mod, n + 1, acc)
+
+
+# ---------------------------------------------------------------------------
 # matrices and scalars
 
 
@@ -343,4 +374,4 @@ def poly_mat_mul(a, b, order):
 
 def deformation_value_series(d: ApproximateDeformation, basis_index):
     """Coefficient list of the deformed action of a basis element."""
-    return [d.term_value(i, basis_index) for i in range(d.order + 1)]
+    return [d.module.action[basis_index]] + [t.value((basis_index,)) for t in d.terms]

@@ -2,13 +2,17 @@ import contextlib
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moddef
 from helpers import projector_module
 from moddef import documents as docs
 from moddef.cli import main, run
@@ -49,6 +53,14 @@ def write_doc(tmp_path, name, doc):
     path = tmp_path / f"{name}.json"
     path.write_text(docs.canonical_json(doc), encoding="utf-8")
     return path
+
+
+def run_module(*args, **kwargs):
+    """python -m moddef in a child process, importing the package these
+    tests import even when it is not installed."""
+    path = [str(Path(moddef.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "moddef", *args], capture_output=True, env=env, **kwargs)
 
 
 def run_cli(tmp_path, command, doc, *flags, name="problem"):
@@ -319,26 +331,50 @@ def _fixture_a_bytes(keys, value):
 def test_malformed_input_exits_2_without_traceback(tmp_path, content):
     in_path = tmp_path / "malformed.json"
     in_path.write_bytes(content)
-    proc = subprocess.run(
-        [sys.executable, "-m", "moddef", "validate", str(in_path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("validate", str(in_path), text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("flag", ["dim-r", "dim-m", "order", "degree"])
+@pytest.mark.parametrize(
+    "flag,value",
+    [(flag, value) for flag in ("dim-r", "dim-m", "order", "degree") for value in (0, -1)]
+    + [("degree", 17)],
+)
 def test_guardrail_flags_must_be_positive(tmp_path, capsys, flag, value):
     in_path = write_doc(tmp_path, "B", FIXTURE_DOCS["B"])
     assert main(["validate", str(in_path), f"--guardrail-{flag}", str(value)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: --guardrail-{flag}: must be >= 1")
+    bound = "<= 16" if value > 0 else ">= 1"
+    assert captured.err.startswith(f"error: --guardrail-{flag}: must be {bound}")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_degree_guardrail_is_bounded(tmp_path, capsys):
+    # every d_n of Q acting on Q^1 is 1x1, so only the degree bounds the work
+    doc = {
+        "field": "Q",
+        "algebra": {"dim": 1, "structure": [[["1"]]], "unit": ["1"]},
+        "module": {"dim": 1, "action": [[["1"]]]},
+        "options": {"guardrails": {"degree": 17}},
+    }
+    in_path = write_doc(tmp_path, "line", doc)
+    assert main(["cohomology", str(in_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: options.guardrails.degree: must be <= 16"
+    )
+    del doc["options"]
+    in_path = write_doc(tmp_path, "line", doc)
+    start = time.perf_counter()
+    assert main(["cohomology", str(in_path), "--degree", "1200", "--guardrail-degree", "1200"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: --guardrail-degree: must be <= 16")
+    code, result, _ = run_cli(tmp_path, "cohomology", doc, "--degree", "16", "--guardrail-degree", "16")
+    assert code == 0
+    assert result["dims"] == {f"H{n}": int(n == 0) for n in range(17)}
 
 
 def test_oversized_differential_exits_2(tmp_path, capsys):
@@ -471,9 +507,5 @@ def test_fixtures_flag_and_module_entry_point(tmp_path):
     for doc in emitted.values():
         docs.parse_problem(json.dumps(doc))
     # the same bytes through the installed module entry point
-    proc = subprocess.run(
-        [sys.executable, "-m", "moddef", "--fixtures"],
-        capture_output=True,
-        check=True,
-    )
+    proc = run_module("--fixtures", check=True)
     assert proc.stdout == out.read_bytes()

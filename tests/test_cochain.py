@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import frac_mat, projector_module, random_cochain, random_matrix, random_pair
+from helpers import (
+    change_basis,
+    frac_mat,
+    jordan_module,
+    projector_module,
+    random_cochain,
+    random_matrix,
+    random_pair,
+    reference_differential,
+)
 from moddef import cochain
 from moddef.cochain import (
     Cochain,
@@ -119,13 +128,17 @@ def test_entrywise_square_is_zero():
 
 
 def test_matrix_agrees_with_entrywise_differential():
+    # both assembled forms against the operator-form oracle, on random
+    # pairs and on basis changes of the catalog pairs that random_pair skips
     rng = random.Random(19)
-    for _ in range(4):
-        _, mod = random_pair(rng)
+    modules = [random_pair(rng)[1] for _ in range(4)]
+    modules += [change_basis(*pair, rng)[1] for pair in (jordan_module(4, 3), fixture_b())]
+    for mod in modules:
         for degree in range(3):
             f = random_cochain(mod, degree, rng)
-            d = differential_matrix(mod, degree)
-            assert d.matvec(f.flatten()) == differential(f).flatten()
+            want = reference_differential(f)
+            assert differential(f) == want
+            assert differential_matrix(mod, degree).matvec(f.flatten()) == want.flatten()
 
 
 def test_flatten_round_trip():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import frac_mat, oracle_rref, random_matrix, random_mod_matrix
 from moddef.errors import InputError
@@ -152,3 +154,68 @@ def test_fields_never_mix():
     with pytest.raises(InputError):
         q @ f
     assert q != f
+
+
+def test_elimination_over_q_never_produces_floats():
+    # a library caller may pass int entries; inverting a pivot must stay exact
+    def exact(values):
+        return all(type(x) in (Fraction, int) for x in values)
+
+    for rows in ([[2]], [[2, 1]], [[3, 1, 2], [6, 5, 7]], [[0, 4, 2], [3, 0, 1]]):
+        m = Matrix(QQ, rows)
+        reduced, _ = m.rref()
+        assert all(exact(row) for row in reduced.data)
+        assert all(exact(v) for v in m.kernel_basis())
+        x = solve(m, [5] * m.nrows)
+        assert x is not None and exact(x)
+    assert solve(Matrix(QQ, [[2]]), [1]) == [Fraction(1, 2)]
+    assert Matrix(QQ, [[2, 1]]).kernel_basis() == [[Fraction(-1, 2), Fraction(1)]]
+
+
+_RREF_FIELDS = (QQ, PrimeField(13), PrimeField(2**61 - 1))
+
+
+@st.composite
+def scrambled_echelon_forms(draw):
+    """(field, R0 padded with zero rows, its pivots, M times the padded R0)
+    for a random reduced echelon form R0 and a random invertible M built
+    from row swaps, non-unit scalings and row additions."""
+    field = draw(st.sampled_from(_RREF_FIELDS))
+    if field == QQ:
+        scalars = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        scalars = st.integers(0, field.p - 1)
+    nonunit = scalars.filter(lambda c: c not in (0, 1))
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 10))
+    density = draw(st.sampled_from((0.15, 1.0)))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    pivots = tuple(sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=rank, max_size=rank))))
+    rows = [[field.zero] * ncols for _ in range(nrows)]
+    for r, pc in enumerate(pivots):
+        rows[r][pc] = field.one
+        for j in range(pc + 1, ncols):
+            if j not in pivots and draw(st.floats(0, 1)) < density:
+                rows[r][j] = draw(scalars)
+    scrambled = [row[:] for row in rows]
+    row_index = st.integers(0, nrows - 1)
+    for kind in draw(st.lists(st.sampled_from(("swap", "scale", "add")), max_size=16)):
+        i, j = draw(row_index), draw(row_index)
+        if kind == "swap":
+            scrambled[i], scrambled[j] = scrambled[j], scrambled[i]
+        elif kind == "scale":
+            c = draw(nonunit)
+            scrambled[i] = [field.mul(c, x) for x in scrambled[i]]
+        elif i != j:
+            c = draw(scalars)
+            scrambled[i] = [field.add(x, field.mul(c, y)) for x, y in zip(scrambled[i], scrambled[j])]
+    return field, Matrix(field, rows, ncols), pivots, Matrix(field, scrambled, ncols)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scrambled_echelon_forms())
+def test_rref_recovers_scrambled_echelon_form(case):
+    """The reduced echelon form is unique, so eliminating M R0 must give
+    back exactly R0 and its pivots, over Q and over small and large primes."""
+    field, reduced, pivots, scrambled = case
+    assert scrambled.rref() == (reduced, pivots)
