@@ -70,15 +70,15 @@ class Algebra:
         F = self.field
         out = [F.zero] * self.dim
         for i, ui in enumerate(u):
-            if ui == F.zero:
+            if not ui:
                 continue
             row = self.structure[i]
             for j, vj in enumerate(v):
-                if vj == F.zero:
+                if not vj:
                     continue
                 c = F.mul(ui, vj)
                 for k, w in enumerate(row[j]):
-                    if w != F.zero:
+                    if w:
                         out[k] = F.add(out[k], F.mul(c, w))
         return out
 
@@ -96,7 +96,7 @@ class Algebra:
         for i in range(self.dim):
             for j in range(self.dim):
                 for k, c in enumerate(self.structure[i][j]):
-                    if c != F.zero:
+                    if c:
                         support[k].append((i, j, c))
         return tuple(tuple(s) for s in support)
 
@@ -124,6 +124,8 @@ class Module:
         self.field = algebra.field
         self.dim = r
         self.action = list(action)
+        # degree -> assembled differential matrix (cochain.differential_matrix)
+        self._differentials = {}
 
     def __eq__(self, other):
         return (
@@ -141,7 +143,7 @@ class Module:
             raise InputError("coordinate length does not match algebra dimension")
         out = Matrix.zeros(self.field, self.dim, self.dim)
         for c, m in zip(coords, self.action):
-            if c != self.field.zero:
+            if c:
                 out = out + m.scale(c)
         return out
 

@@ -118,12 +118,11 @@ class Cochain:
     def first_nonzero(self):
         """(tuple, row, col, value) of the first entry in coordinate order,
         or None for the zero cochain."""
-        zero = self.module.field.zero
         for key in self.support():
             mat = self.entries[key]
             for r in range(mat.nrows):
                 for c in range(mat.ncols):
-                    if mat.data[r][c] != zero:
+                    if mat.data[r][c]:
                         return key, r, c, mat.data[r][c]
         return None
 
@@ -227,7 +226,11 @@ def is_cocycle(f: Cochain) -> bool:
 def differential_matrix(module, degree) -> Matrix:
     """The degree-n differential as a matrix in the flattening order,
     mapping degree-n coordinates to degree-(n+1) coordinates. Refuses,
-    before allocating, a matrix of more than MAX_DIFFERENTIAL_CELLS cells."""
+    before allocating, a matrix of more than MAX_DIFFERENTIAL_CELLS cells.
+
+    Assembled once per (module, degree) and kept on the module, so every
+    witness, certificate and rank over that module shares one matrix and
+    its factorisation. Callers must not mutate it."""
     if degree < 0:
         raise InputError("degree must be >= 0")
     d_r = module.algebra.dim
@@ -239,6 +242,9 @@ def differential_matrix(module, degree) -> Matrix:
             f"the degree-{degree} differential would be {nrows}x{ncols}, "
             f"over the limit of {MAX_DIFFERENTIAL_CELLS} cells"
         )
+    cached = module._differentials.get(degree)
+    if cached is not None:
+        return cached
     out = Matrix.zeros(module.field, nrows, ncols)
     add = module.field.add
     col = 0
@@ -249,6 +255,7 @@ def differential_matrix(module, degree) -> Matrix:
                     row = out.data[idx]
                     row[col] = add(row[col], v)
                 col += 1
+    module._differentials[degree] = out
     return out
 
 
@@ -275,9 +282,9 @@ def cokernel_certificate(f: Cochain):
     for y in d.transpose().kernel_basis():
         s = F.zero
         for yv, bv in zip(y, b):
-            if yv != F.zero and bv != F.zero:
+            if yv and bv:
                 s = F.add(s, F.mul(yv, bv))
-        if s != F.zero:
+        if s:
             return y, s
     return None
 

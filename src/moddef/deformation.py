@@ -31,19 +31,29 @@ from .cochain import (
     is_cocycle,
 )
 from .errors import InputError
+from .fields import PrimeField
 from .linalg import Matrix
 
 
 def _series_term(left, right, n):
     """Term n of the product of two truncated operator series given as
     term lists: the sum of left[i] @ right[n - i] over the indices both
-    lists hold, skipping zero factors."""
-    first = left[0]
-    acc = Matrix.zeros(first.field, first.nrows, right[0].ncols)
+    lists hold. Each entry is accumulated in place with native + and *,
+    skipping zero entries; over F_p it is reduced once, at the end."""
+    F = left[0].field
+    ncols = right[0].ncols
+    out = [[F.zero] * ncols for _ in range(left[0].nrows)]
     for i in range(max(0, n - len(right) + 1), min(n, len(left) - 1) + 1):
-        if not (left[i].is_zero() or right[n - i].is_zero()):
-            acc = acc + left[i] @ right[n - i]
-    return acc
+        b = right[n - i].data
+        for orow, arow in zip(out, left[i].data):
+            for x, brow in zip(arow, b):
+                if x:
+                    for j, y in enumerate(brow):
+                        if y:
+                            orow[j] += x * y
+    if isinstance(F, PrimeField):
+        out = [[x % F.p for x in row] for row in out]
+    return Matrix(F, out, ncols)
 
 
 class ApproximateDeformation:
@@ -173,7 +183,7 @@ def check_deformation(d: ApproximateDeformation):
             for j in range(alg.dim):
                 lhs = Matrix.zeros(F, mod.dim, mod.dim)
                 for k, c in enumerate(alg.structure[i][j]):
-                    if c != F.zero:
+                    if c:
                         lhs = lhs + series[k][n].scale(c)
                 if lhs != _series_term(series[i], series[j], n):
                     return DeformationViolation(n, i, j)

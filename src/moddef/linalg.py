@@ -19,7 +19,7 @@ class Matrix:
     data is a list of rows; rows are lists of field scalars.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_rref")
+    __slots__ = ("field", "nrows", "ncols", "data", "_rref", "_ops")
 
     def __init__(self, field, data, ncols=None):
         self.field = field
@@ -34,6 +34,7 @@ class Matrix:
         self.ncols = ncols
         self.data = data
         self._rref = None
+        self._ops = None
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -60,8 +61,7 @@ class Matrix:
         return f"Matrix({self.field.name}, {self.nrows}x{self.ncols})"
 
     def is_zero(self):
-        z = self.field.zero
-        return all(x == z for row in self.data for x in row)
+        return not any(any(row) for row in self.data)
 
     def __add__(self, other):
         self._check_same_shape(other)
@@ -97,19 +97,14 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         F = self.field
-        add, mul, zero = F.add, F.mul, F.zero
-        out = [[zero] * other.ncols for _ in range(self.nrows)]
-        for i in range(self.nrows):
-            arow = self.data[i]
-            orow = out[i]
-            for k in range(self.ncols):
-                a = arow[k]
-                if a == zero:
+        add, mul = F.add, F.mul
+        out = [[F.zero] * other.ncols for _ in range(self.nrows)]
+        for arow, orow in zip(self.data, out):
+            for a, brow in zip(arow, other.data):
+                if not a:
                     continue
-                brow = other.data[k]
-                for j in range(other.ncols):
-                    b = brow[j]
-                    if b != zero:
+                for j, b in enumerate(brow):
+                    if b:
                         orow[j] = add(orow[j], mul(a, b))
         return Matrix(F, out, other.ncols)
 
@@ -117,12 +112,12 @@ class Matrix:
         if len(v) != self.ncols:
             raise InputError("vector length does not match column count")
         F = self.field
-        add, mul, zero = F.add, F.mul, F.zero
+        add, mul = F.add, F.mul
         out = []
         for row in self.data:
-            s = zero
+            s = F.zero
             for a, x in zip(row, v):
-                if a != zero and x != zero:
+                if a and x:
                     s = add(s, mul(a, x))
             out.append(s)
         return out
@@ -143,14 +138,17 @@ class Matrix:
     # -- elimination ------------------------------------------------------
 
     def rref(self):
-        """Reduced row-echelon form and pivot columns (cached)."""
+        """Reduced row-echelon form and pivot columns (cached, together
+        with the row operations that produced them, for solve)."""
         if self._rref is None:
             rows = [row[:] for row in self.data]
+            ops = []
             if isinstance(self.field, PrimeField):
-                reduced, pivots = kernel.rref_mod(rows, self.ncols, self.field.p)
+                reduced, pivots = kernel.rref_mod(rows, self.ncols, self.field.p, ops=ops)
             else:
-                reduced, pivots = kernel.rref_rational(rows, self.ncols)
+                reduced, pivots = kernel.rref_rational(rows, self.ncols, ops=ops)
             self._rref = (Matrix(self.field, reduced, self.ncols), pivots)
+            self._ops = ops
         return self._rref
 
     def rank(self):
@@ -170,7 +168,7 @@ class Matrix:
             v[j] = F.one
             for r, pc in enumerate(pivots):
                 coef = reduced.data[r][j]
-                if coef != F.zero:
+                if coef:
                     v[pc] = F.neg(coef)
             basis.append(v)
         return basis
@@ -178,16 +176,18 @@ class Matrix:
 
 def solve(a: Matrix, b: list):
     """The canonical solution of a x = b (every free variable zero), or
-    None when b is outside the column span of a."""
+    None when b is outside the column span of a.
+
+    a is factorised once; every solve replays its recorded row operations
+    on b, which yields the last column of the reduced form of [a | b]."""
     if len(b) != a.nrows:
         raise InputError(f"right-hand side length {len(b)} != row count {a.nrows}")
     F = a.field
-    n = a.ncols
-    aug = Matrix(F, [row[:] + [bv] for row, bv in zip(a.data, b)], n + 1)
-    reduced, pivots = aug.rref()
-    if pivots and pivots[-1] == n:
+    _, pivots = a.rref()
+    y = kernel.replay(a._ops, list(b), F.p if isinstance(F, PrimeField) else None)
+    if any(y[len(pivots):]):
         return None
-    x = [F.zero] * n
+    x = [F.zero] * a.ncols
     for r, pc in enumerate(pivots):
-        x[pc] = reduced.data[r][n]
+        x[pc] = y[r]
     return x

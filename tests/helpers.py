@@ -70,6 +70,26 @@ def oracle_rref(mat: Matrix):
 
 
 # ---------------------------------------------------------------------------
+# augmented-elimination solve oracle
+
+
+def reference_solve(a: Matrix, b: list):
+    """The canonical solution of a x = b by eliminating [a | b] afresh:
+    None when the augmented column becomes a pivot, else every free
+    variable zero and each pivot variable read off the last column."""
+    F = a.field
+    n = a.ncols
+    aug = Matrix(F, [row[:] + [bv] for row, bv in zip(a.data, b)], n + 1)
+    reduced, pivots = aug.rref()
+    if pivots and pivots[-1] == n:
+        return None
+    x = [F.zero] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced.data[r][n]
+    return x
+
+
+# ---------------------------------------------------------------------------
 # operator-form differential oracle
 
 
@@ -300,6 +320,20 @@ def change_basis(alg: Algebra, mod: Module, rng):
             if pia:
                 acc = acc + mod.action[i].scale(pia)
         action.append(qinv @ acc @ q)
+    return new_alg, Module(new_alg, action)
+
+
+def over_prime(alg: Algebra, mod: Module, p):
+    """The same pair with every rational constant reduced modulo p
+    (denominators must be prime to p)."""
+    F = PrimeField(p)
+
+    def red(x):
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    structure = [[[red(c) for c in coords] for coords in row] for row in alg.structure]
+    new_alg = Algebra(F, structure, [red(c) for c in alg.unit])
+    action = [Matrix(F, [[red(x) for x in row] for row in m.data], m.ncols) for m in mod.action]
     return new_alg, Module(new_alg, action)
 
 

@@ -1,0 +1,76 @@
+"""The names and shapes the benchmark's tracer (perfbench/layers.py) relies
+on. The tracer wraps library functions, Matrix methods and the kernel's
+entry points by name, and its kernel replay unpacks (rows, pivots); a
+rename or a changed signature would otherwise only show in a traced
+benchmark run."""
+
+import importlib
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import moddef
+from helpers import frac_mat
+from moddef import _backend
+from moddef.cochain import Cochain
+from moddef.fixtures import fixture_c
+from moddef.linalg import Matrix
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists(layers):
+    for modname, attr in layers.FUNCTIONS:
+        assert callable(vars(importlib.import_module(f"moddef.{modname}")).get(attr)), (
+            f"{modname}.{attr}"
+        )
+    for attr in layers.METHODS:
+        assert callable(vars(Matrix).get(attr)), f"Matrix.{attr}"
+    for attr in layers.KERNEL:
+        assert callable(vars(_backend.kernel).get(attr)), f"kernel.{attr}"
+
+
+def test_kernel_entry_points_take_positional_arguments():
+    q_rows = [[Fraction(2), Fraction(1)], [Fraction(4), Fraction(2)]]
+    rows, pivots = _backend.kernel.rref_rational(q_rows, 2)
+    assert rows == [[1, Fraction(1, 2)], [0, 0]] and pivots == (0,)
+    out = _backend.kernel.rref_mod([[2, 1], [0, 3]], 2, 13)
+    assert isinstance(out, tuple) and len(out) == 2
+    assert out == ([[1, 0], [0, 1]], (0, 1))
+
+
+def test_matrix_keeps_its_echelon_cache_in_rref_slot():
+    m = frac_mat([[1, 2], [3, 4]])
+    assert m._rref is None
+    m.rank()
+    assert m._rref is not None
+
+
+def test_tracer_installs_completely_and_sees_the_cache(layers):
+    cochain = importlib.import_module("moddef.cochain")
+    original = vars(cochain)["coboundary_witness"]
+    tracer = layers.Tracer(moddef, _backend.kernel)
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        _, mod = fixture_c()
+        f = Cochain(mod, 1, {(1,): frac_mat([[1, 0], [0, -1]])})
+        for _ in range(3):
+            assert cochain.coboundary_witness(f) is not None
+    finally:
+        tracer.uninstall()
+    assert vars(cochain)["coboundary_witness"] is original
+    counts = tracer.counts
+    assert counts["cochain.assemble_calls"] == 3
+    assert counts["kernel.calls"] == 1
+    assert counts["linalg.rref_cached"] == 2

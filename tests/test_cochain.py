@@ -3,6 +3,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     change_basis,
@@ -14,7 +16,8 @@ from helpers import (
     random_pair,
     reference_differential,
 )
-from moddef import cochain
+from moddef import _backend, cochain
+from moddef.algebra import Module
 from moddef.cochain import (
     Cochain,
     coboundary_witness,
@@ -24,6 +27,7 @@ from moddef.cochain import (
     differential_matrix,
     is_cocycle,
 )
+from moddef.deformation import integrate
 from moddef.errors import InputError, ResourceError
 from moddef.fields import QQ
 from moddef.fixtures import fixture_a, fixture_b, fixture_c
@@ -239,6 +243,67 @@ def test_random_coboundaries_have_witnesses():
         w = coboundary_witness(f)
         assert w is not None
         assert differential(w) == f
+
+
+def test_differential_matrix_is_assembled_once_per_module_and_degree():
+    _, mod = fixture_b()
+    for n in range(3):
+        assert differential_matrix(mod, n) is differential_matrix(mod, n)
+    # a separate module object, even an equal one, gets its own assembly
+    other = Module(mod.algebra, mod.action)
+    assert other == mod
+    assert differential_matrix(other, 1) is not differential_matrix(mod, 1)
+    assert differential_matrix(other, 1) == differential_matrix(mod, 1)
+
+
+def test_integrate_factorises_d1_once(monkeypatch):
+    calls = []
+    eliminate = _backend.kernel.rref_rational
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(_backend.kernel, "rref_rational", counted)
+    _, mod = fixture_c()
+    out = integrate(Cochain(mod, 1, {(1,): frac_mat([[1, 0], [0, -1]])}), 16)
+    assert out.order == 16
+    # fifteen witness solves against d_1, one elimination of it
+    assert calls == [differential_matrix(mod, 1).ncols]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2))
+def test_witness_and_certificate_share_an_unchanged_cached_differential(seed, degree):
+    """On random pairs in random bases (random_pair is change_basis of a
+    catalog pair): a cochain without a witness gets a certificate y with
+    y.D = 0 and y.b != 0, a coboundary gets a witness g with d(g) = f, and
+    the cached D afterwards still equals a fresh assembly."""
+    rng = random.Random(seed)
+    alg, mod = random_pair(rng)
+    F = mod.field
+    cases = [
+        random_cochain(mod, degree, rng),
+        differential(random_cochain(mod, degree - 1, rng, density=1.0)),
+    ]
+    d = differential_matrix(mod, degree - 1)
+    for f in cases:
+        w = coboundary_witness(f)
+        cert = cokernel_certificate(f)
+        if w is None:
+            y, pairing = cert
+            assert not any(d.transpose().matvec(y))
+            assert pairing and pairing == sum(
+                (yv * bv for yv, bv in zip(y, f.flatten())), F.zero
+            )
+        else:
+            assert cert is None
+            assert differential(w) == f
+    assert coboundary_witness(cases[1]) is not None
+    assert differential_matrix(mod, degree - 1) is d
+    copy = Module(alg, [Matrix(F, [row[:] for row in m.data]) for m in mod.action])
+    fresh = differential_matrix(copy, degree - 1)
+    assert fresh is not d and fresh == d
 
 
 def test_witness_needs_positive_degree():

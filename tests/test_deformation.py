@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     deformation_value_series,
     frac_mat,
+    over_prime,
     poly_mat_mul,
     random_automorphism,
     random_coboundary,
@@ -16,6 +19,7 @@ from helpers import (
 from moddef.cochain import Cochain, coboundary_witness, differential, is_cocycle
 from moddef.deformation import (
     ApproximateDeformation,
+    _series_term,
     FormalAutomorphism,
     ObstructionOutcome,
     check_deformation,
@@ -29,7 +33,7 @@ from moddef.deformation import (
     rigidity_check,
 )
 from moddef.errors import InputError
-from moddef.fields import QQ
+from moddef.fields import PrimeField, QQ
 from moddef.fixtures import fixture_a, fixture_b, fixture_c
 from moddef.linalg import Matrix
 
@@ -239,6 +243,21 @@ def test_integrate_fixture_c_to_order_ten():
     assert series == [N, S, B] + [zero] * 8
 
 
+def test_integrate_fixture_c_over_a_prime_field():
+    # the F_p branch of the series products: the same closed form N + tS + t^2 B, mod p
+    p = 10007
+    _, mod = over_prime(*fixture_c(), p)
+    F = mod.field
+    S_p = Matrix(F, [[1, 0], [0, p - 1]])
+    out = integrate(Cochain(mod, 1, {(1,): S_p}), 8)
+    assert isinstance(out, ApproximateDeformation) and out.order == 8
+    assert check_deformation(out) is None
+    zero = Matrix.zeros(F, 2, 2)
+    assert deformation_value_series(out, 1) == [
+        Matrix(F, [[0, 1], [0, 0]]), S_p, Matrix(F, [[0, 0], [p - 1, 0]])
+    ] + [zero] * 6
+
+
 def test_integrate_rejects_non_cocycle():
     _, mod = fixture_a()
     bad = Cochain(mod, 1, {(0,): frac_mat([[1]])})
@@ -424,3 +443,40 @@ def test_rigidity_one_dimensional_algebra():
     alg = Algebra(QQ, [[[Fraction(1)]]], [Fraction(1)])
     mod = Module(alg, [Matrix.identity(QQ, 2)])
     assert rigidity_check(mod).certified
+
+
+@st.composite
+def series_pairs(draw):
+    """(field, left, right, n): two term lists of unequal lengths whose
+    r x k and k x c terms are often zero, and an index n that may run past
+    either list."""
+    field = draw(st.sampled_from((QQ, PrimeField(13))))
+    if field == QQ:
+        scalars = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    else:
+        scalars = st.integers(0, 12)
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def term(nrows, ncols):
+        if draw(st.booleans()):
+            return Matrix.zeros(field, nrows, ncols)
+        cells = st.one_of(st.just(field.zero), scalars)
+        return Matrix(field, [[draw(cells) for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+    left = [term(r, k) for _ in range(draw(st.integers(1, 5)))]
+    right = [term(k, c) for _ in range(draw(st.integers(1, 5)))]
+    n = draw(st.integers(0, len(left) + len(right)))
+    return field, left, right, n
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(series_pairs())
+def test_series_term_matches_naive_product_sum(case):
+    field, left, right, n = case
+    want = Matrix.zeros(field, left[0].nrows, right[0].ncols)
+    for i in range(n + 1):
+        if i < len(left) and n - i < len(right):
+            want = want + left[i] @ right[n - i]
+    got = _series_term(left, right, n)
+    assert got == want
+    assert all(type(x) is (Fraction if field == QQ else int) for row in got.data for x in row)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import frac_mat, oracle_rref, random_matrix, random_mod_matrix
+from helpers import frac_mat, oracle_rref, random_matrix, random_mod_matrix, reference_solve
 from moddef.errors import InputError
 from moddef.fields import PrimeField, QQ
 from moddef.linalg import Matrix, solve
@@ -219,3 +219,51 @@ def test_rref_recovers_scrambled_echelon_form(case):
     back exactly R0 and its pivots, over Q and over small and large primes."""
     field, reduced, pivots, scrambled = case
     assert scrambled.rref() == (reduced, pivots)
+
+
+@st.composite
+def systems(draw):
+    """(field, matrix, right-hand sides): over Q the entries are sometimes
+    plain ints; the sides mix images a x (consistent) with arbitrary
+    vectors (mostly inconsistent when the rank is below the row count)."""
+    field = draw(st.sampled_from(_RREF_FIELDS))
+    if field != QQ:
+        scalars = st.integers(0, field.p - 1)
+    elif draw(st.booleans()):
+        scalars = st.integers(-3, 3)
+    else:
+        scalars = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 7))
+    density = draw(st.sampled_from((0.2, 0.6, 1.0)))
+    rows = [
+        [draw(scalars) if draw(st.floats(0, 1)) < density else field.zero for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    m = Matrix(field, rows, ncols)
+    rhs = []
+    for consistent in draw(st.lists(st.booleans(), min_size=2, max_size=6)):
+        if consistent:
+            rhs.append(m.matvec([draw(scalars) for _ in range(ncols)]))
+        else:
+            rhs.append([draw(scalars) for _ in range(nrows)])
+    return field, m, rhs
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(systems())
+def test_solve_replays_one_factorisation(case):
+    """Many right-hand sides against one matrix: each solve replays the
+    recorded elimination and must equal a fresh elimination of [a | b]
+    exactly, None included, with no float anywhere over Q."""
+    field, m, rhs = case
+    ops = None
+    for b in rhs:
+        got = solve(m, b)
+        want = reference_solve(m, b)
+        assert got == want
+        if want is not None:
+            assert m.matvec(want) == b
+            assert all(type(x) in (Fraction, int) for x in got)
+        assert ops is None or m._ops is ops  # factorised once
+        ops = m._ops
