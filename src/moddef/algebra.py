@@ -128,7 +128,7 @@ class Module:
         self._differentials = {}
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Module)
             and self.algebra == other.algebra
             and self.action == other.action

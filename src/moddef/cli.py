@@ -289,19 +289,8 @@ def main(argv=None) -> int:
             "order": args.g_order,
             "degree": args.g_degree,
         }
-        problem = doc.parse_problem(text, field_override=args.field, guardrail_overrides=overrides)
-        if args.order is not None:
-            if args.order < 1 or args.order > problem.guardrails.order:
-                raise InputError(
-                    f"--order must be in [1, {problem.guardrails.order}]"
-                )
-            problem.options.order = args.order
-        if args.degree is not None:
-            if args.degree < 0 or args.degree > problem.guardrails.degree:
-                raise InputError(
-                    f"--degree must be in [0, {problem.guardrails.degree}]"
-                )
-            problem.options.degree = args.degree
+        options = {"order": args.order, "degree": args.degree}
+        problem = doc.parse_problem(text, args.field, overrides, options)
         result, code = run(args.command, problem)
     except (InputError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

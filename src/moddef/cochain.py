@@ -27,7 +27,7 @@ from itertools import product
 
 from .algebra import Module
 from .errors import InputError, ResourceError
-from .linalg import Matrix, solve
+from .linalg import Matrix, reduced_column, solve
 
 # Largest differential matrix (rows x cols) that differential_matrix will
 # build: 2**24 cells, 128 MiB of row pointers for one dense copy.
@@ -305,29 +305,24 @@ def cohomology(module, degree) -> CohomologyReport:
 
     The representatives are the canonical kernel-basis vectors whose
     columns become pivots after the coboundary columns, so the output is
-    reproducible byte for byte."""
+    reproducible byte for byte. Gauss-Jordan on [d_{n-1} | kernel] would
+    run d_{n-1}'s own row operations first, so the kernel vectors are
+    replayed through d_{n-1}'s factorisation and only the rows below its
+    rank are eliminated."""
     if degree < 0:
         raise InputError("degree must be >= 0")
-    d_n = differential_matrix(module, degree)
-    kernel = d_n.kernel_basis()
+    kernel = differential_matrix(module, degree).kernel_basis()
     dim_z = len(kernel)
-    if degree == 0:
-        boundary_rows = [[] for _ in range(d_n.ncols)]  # no coboundaries
-        dim_b = 0
+    d_prev = None if degree == 0 else differential_matrix(module, degree - 1)
+    dim_b = 0 if d_prev is None else d_prev.rank()
+    if dim_b == 0:
+        reps = kernel  # no coboundaries: every cocycle is a representative
+    elif dim_z == dim_b:
+        reps = []
     else:
-        d_prev = differential_matrix(module, degree - 1)
-        boundary_rows = d_prev.data
-        dim_b = d_prev.rank()
-    dim_h = dim_z - dim_b
-    reps = []
-    if dim_h > 0:
-        # columns: those of d_{n-1}, then the kernel vectors
-        nb = len(boundary_rows[0])
-        stacked = Matrix(
-            module.field,
-            [row + [v[i] for v in kernel] for i, row in enumerate(boundary_rows)],
-            nb + len(kernel),
-        )
-        _, pivots = stacked.rref()
-        reps = [Cochain.unflatten(module, degree, kernel[p - nb]) for p in pivots if p >= nb]
-    return CohomologyReport(degree, dim_z, dim_b, dim_h, reps)
+        below = [reduced_column(d_prev, v)[0][dim_b:] for v in kernel]
+        rows = [list(r) for r in zip(*below) if any(r)]
+        _, pivots = Matrix(module.field, rows, dim_z).rref()
+        reps = [kernel[p] for p in pivots]
+    reps = [Cochain.unflatten(module, degree, v) for v in reps]
+    return CohomologyReport(degree, dim_z, dim_b, dim_z - dim_b, reps)

@@ -21,7 +21,7 @@ deformation by an automorphism truncates at the deformation's order.
 
 from dataclasses import dataclass
 
-from .algebra import Module
+from .algebra import Module, validate_module
 from .cochain import (
     Cochain,
     CohomologyReport,
@@ -75,9 +75,9 @@ class ApproximateDeformation:
 
     def series(self, basis_index):
         """Coefficient operators of t^0..t^order applied to a basis element;
-        t^0 is the undeformed action."""
-        key = (basis_index,)
-        return [self.module.action[basis_index]] + [t.value(key) for t in self.terms]
+        t^0 is the undeformed action, and absent terms share one zero."""
+        key, zero = (basis_index,), self.module.zero_operator()
+        return [self.module.action[basis_index]] + [t.entries.get(key, zero) for t in self.terms]
 
     def extended_with(self, term: Cochain):
         return ApproximateDeformation(self.module, self.terms + [term])
@@ -173,20 +173,21 @@ class DeformationViolation:
 
 def check_deformation(d: ApproximateDeformation):
     """Verify the multiplicativity relations for every order up to the
-    truncation; returns None when valid, else the first violation."""
-    mod = d.module
-    alg = mod.algebra
-    F = mod.field
-    series = [d.series(k) for k in range(alg.dim)]
-    for n in range(d.order + 1):
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = Matrix.zeros(F, mod.dim, mod.dim)
-                for k, c in enumerate(alg.structure[i][j]):
-                    if c:
-                        lhs = lhs + series[k][n].scale(c)
-                if lhs != _series_term(series[i], series[j], n):
-                    return DeformationViolation(n, i, j)
+    truncation; returns None when valid, else the first violation.
+
+    Order 0 is the module's own multiplicativity. At order n >= 1 the
+    relation is the extension equation d(xi_n) = -obstruction of
+    xi_1..xi_{n-1}; the first tuple where d(xi_n) + obstruction is nonzero
+    is the violating basis pair."""
+    for issue in validate_module(d.module):
+        if issue.kind == "multiplicativity":
+            return DeformationViolation(0, *issue.where)
+    partial = ApproximateDeformation(d.module, [])
+    for n, term in enumerate(d.terms, 1):
+        residue = differential(term) + obstruction(partial)
+        if not residue.is_zero():
+            return DeformationViolation(n, *residue.support()[0])
+        partial = partial.extended_with(term)
     return None
 
 

@@ -292,8 +292,13 @@ def _merge_guardrails(doc_options, cli_overrides):
     return replace(DEFAULT_GUARDRAILS, **fields)
 
 
-def parse_problem(data, field_override=None, guardrail_overrides=None) -> ProblemDocument:
+def parse_problem(
+    data, field_override=None, guardrail_overrides=None, option_overrides=None
+) -> ProblemDocument:
     """Parse and structurally validate a problem document.
+
+    option_overrides ({"order": ..., "degree": ...}; None is absent) replace
+    the document's options, and errors then name the flag.
 
     data may be JSON text or an already-decoded dict. Algebraic axioms are
     not checked here; callers run validation and refuse invalid inputs
@@ -323,19 +328,16 @@ def parse_problem(data, field_override=None, guardrail_overrides=None) -> Proble
     module = decode_module(algebra, _get(data, "module", "document"), guardrails)
 
     options = Options()
-    if options_raw is not None:
-        if "order" in options_raw:
-            options.order = _int(options_raw["order"], "options.order", minimum=1)
-            if options.order > guardrails.order:
-                raise InputError(
-                    f"options.order: {options.order} exceeds the guardrail {guardrails.order}"
-                )
-        if "degree" in options_raw:
-            options.degree = _int(options_raw["degree"], "options.degree", minimum=0)
-            if options.degree > guardrails.degree:
-                raise InputError(
-                    f"options.degree: {options.degree} exceeds the guardrail {guardrails.degree}"
-                )
+    for key, minimum in (("order", 1), ("degree", 0)):
+        value, path = (option_overrides or {}).get(key), f"--{key}"
+        if value is None:
+            if options_raw is None or key not in options_raw:
+                continue
+            value, path = options_raw[key], f"options.{key}"
+        cap = getattr(guardrails, key)
+        if _int(value, path, minimum=minimum) > cap:
+            raise InputError(f"{path}: {value} exceeds the guardrail {cap}")
+        setattr(options, key, value)
 
     cochain = data.get("cochain")
     if cochain is not None:

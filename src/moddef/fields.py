@@ -17,14 +17,17 @@ from .errors import InputError
 
 _SCALAR_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
+# Miller-Rabin with the first twelve primes as witnesses decides every n
+# below psi_12 = 318665857834031151167461 = 399165290221 * 798330580441, the
+# least composite that passes all twelve; larger moduli are refused.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MODULUS_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -100,6 +103,8 @@ class PrimeField:
     """The field of integers modulo a prime, elements stored in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= MODULUS_BOUND:
+            raise InputError(f"field modulus must be below {MODULUS_BOUND}, got {p}")
         if not is_prime(p):
             raise InputError(f"field modulus must be prime, got {p}")
         self.p = p

@@ -15,8 +15,8 @@ import random
 from fractions import Fraction
 
 from moddef.algebra import Algebra, Module
-from moddef.cochain import Cochain, differential_matrix
-from moddef.deformation import ApproximateDeformation, FormalAutomorphism
+from moddef.cochain import Cochain, CohomologyReport, differential_matrix
+from moddef.deformation import ApproximateDeformation, DeformationViolation, FormalAutomorphism
 from moddef.fields import PrimeField, QQ
 from moddef.linalg import Matrix
 
@@ -121,6 +121,66 @@ def reference_differential(f: Cochain) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
+# whole-matrix multiplicativity oracle
+
+
+def reference_check_deformation(d: ApproximateDeformation):
+    """The first violated relation xi_n(e_i e_j) = sum_{a+b=n} xi_a(e_i)
+    xi_b(e_j), orders then basis pairs in increasing order, as a
+    DeformationViolation, or None: both sides are built as whole matrices
+    from the term series and compared."""
+    mod = d.module
+    alg = mod.algebra
+    F = mod.field
+    series = [deformation_value_series(d, k) for k in range(alg.dim)]
+    for n in range(d.order + 1):
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                lhs = Matrix.zeros(F, mod.dim, mod.dim)
+                for k, c in enumerate(alg.structure[i][j]):
+                    if c:
+                        lhs = lhs + series[k][n].scale(c)
+                rhs = Matrix.zeros(F, mod.dim, mod.dim)
+                for a in range(n + 1):
+                    rhs = rhs + series[i][a] @ series[j][n - a]
+                if lhs != rhs:
+                    return DeformationViolation(n, i, j)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# stacked-elimination cohomology oracle
+
+
+def reference_cohomology(module, degree) -> CohomologyReport:
+    """Cohomology by eliminating [d_{n-1} | kernel of d_n] afresh: the
+    kernel vectors whose columns become pivots after the coboundary
+    columns are the representatives (degree 0 has no coboundary columns)."""
+    d_n = differential_matrix(module, degree)
+    kernel = d_n.kernel_basis()
+    dim_z = len(kernel)
+    if degree == 0:
+        boundary_rows = [[] for _ in range(d_n.ncols)]
+        dim_b = 0
+    else:
+        d_prev = differential_matrix(module, degree - 1)
+        boundary_rows = d_prev.data
+        dim_b = d_prev.rank()
+    dim_h = dim_z - dim_b
+    reps = []
+    if dim_h > 0:
+        nb = len(boundary_rows[0])
+        stacked = Matrix(
+            module.field,
+            [row + [v[i] for v in kernel] for i, row in enumerate(boundary_rows)],
+            nb + len(kernel),
+        )
+        _, pivots = stacked.rref()
+        reps = [Cochain.unflatten(module, degree, kernel[p - nb]) for p in pivots if p >= nb]
+    return CohomologyReport(degree, dim_z, dim_b, dim_h, reps)
+
+
+# ---------------------------------------------------------------------------
 # matrices and scalars
 
 
@@ -171,21 +231,27 @@ def truncated_poly_algebra(n):
     return Algebra(QQ, structure, unit)
 
 
-def shift_matrix(d):
-    rows = [[Fraction(1) if c == r + 1 else Fraction(0) for c in range(d)] for r in range(d)]
-    return Matrix(QQ, rows, d)
-
-
 def jordan_module(n, d):
     """Q[x]/(x^n) acting on Q^d with x as the shift block (needs d <= n)."""
-    assert d <= n
+    return jordan_sum(n, (d,))
+
+
+def jordan_sum(n, sizes):
+    """Q[x]/(x^n) acting on the direct sum of the cyclic modules
+    Q[x]/(x^a), a in sizes (each 1 <= a <= n): x acts by one shift block
+    per summand, in the given order."""
+    assert all(1 <= a <= n for a in sizes)
     alg = truncated_poly_algebra(n)
-    s = shift_matrix(d)
+    d = sum(sizes)
+    s = Matrix.zeros(QQ, d, d)
+    offset = 0
+    for a in sizes:
+        for r in range(offset, offset + a - 1):
+            s.data[r][r + 1] = Fraction(1)
+        offset += a
     action = [Matrix.identity(QQ, d)]
-    cur = Matrix.identity(QQ, d)
     for _ in range(1, n):
-        cur = cur @ s
-        action.append(cur)
+        action.append(action[-1] @ s)
     return alg, Module(alg, action)
 
 
@@ -363,14 +429,15 @@ def random_cochain(mod, degree, rng, density=0.4, scale=3):
 
 
 def random_cocycle(mod, rng, scale=3):
-    """Random element of the degree-1 kernel via the assembled operator."""
+    """Random element of the degree-1 kernel via the assembled operator,
+    over the module's field."""
+    F = mod.field
     basis = differential_matrix(mod, 1).kernel_basis()
-    n = len(basis)
-    vec = [Fraction(0)] * (mod.algebra.dim * mod.dim * mod.dim)
+    vec = [F.zero] * (mod.algebra.dim * mod.dim * mod.dim)
     for b in basis:
-        c = Fraction(rng.randint(-scale, scale))
+        c = F.parse(str(rng.randint(-scale, scale)))
         if c:
-            vec = [v + c * x for v, x in zip(vec, b)]
+            vec = [F.add(v, F.mul(c, x)) for v, x in zip(vec, b)]
     return Cochain.unflatten(mod, 1, vec)
 
 

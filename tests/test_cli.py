@@ -353,6 +353,45 @@ def test_guardrail_flags_must_be_positive(tmp_path, capsys, flag, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("order", 0, "must be >= 1"),
+        ("order", -1, "must be >= 1"),
+        ("order", 17, "17 exceeds the guardrail 16"),
+        ("degree", -1, "must be >= 0"),
+        ("degree", 4, "4 exceeds the guardrail 3"),
+    ],
+)
+def test_order_and_degree_flags_are_checked_once(tmp_path, capsys, flag, value, message):
+    in_path = write_doc(tmp_path, "C", FIXTURE_DOCS["C"])
+    assert main(["integrate", str(in_path), f"--{flag}", str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --{flag}: {message}\n"
+    assert captured.out == ""
+
+
+def test_order_and_degree_flags_replace_the_document_values(tmp_path):
+    doc = copy.deepcopy(FIXTURE_DOCS["C"])
+    doc["options"] = {"order": 20, "degree": 9}  # both over their guardrails
+    code, result, _ = run_cli(tmp_path, "integrate", doc, "--order", "5", "--degree", "1")
+    assert code == 0 and result["order"] == 5
+    code, result, _ = run_cli(tmp_path, "cohomology", doc, "--order", "5", "--degree", "1")
+    assert code == 0 and sorted(result["dims"]) == ["H0", "H1"]
+    with pytest.raises(InputError, match=r"^options\.order: 20 exceeds the guardrail 16$"):
+        docs.parse_problem(json.dumps(doc), option_overrides={"degree": 1})
+
+
+@pytest.mark.parametrize("modulus", ["318665857834031151167461", "3317044064679887385961981"])
+def test_strong_pseudoprime_moduli_are_refused(tmp_path, capsys, modulus):
+    # both composites pass Miller-Rabin to the bases 2..37
+    in_path = write_doc(tmp_path, "A", FIXTURE_DOCS["A"])
+    assert main(["cohomology", str(in_path), "--field", "F" + modulus]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: field modulus must be below 318665857834031151167461")
+    assert captured.out == ""
+
+
 def test_degree_guardrail_is_bounded(tmp_path, capsys):
     # every d_n of Q acting on Q^1 is 1x1, so only the degree bounds the work
     doc = {
@@ -411,19 +450,26 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-def _main_on_text(argv, text):
+def _assert_ends_cleanly(command, data):
+    """cli.main on data as stdin ends in exit 0, 1 or 2, exit 2 with an
+    error line and no result, and raises nothing."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            code = main([command, "-"])
     finally:
         sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert out.getvalue() == ""
+    else:
+        assert json.loads(out.getvalue())["command"] == command
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(
     command=st.sampled_from(ALL_COMMANDS),
     fixture=st.sampled_from(sorted(FIXTURE_DOCS)),
@@ -450,13 +496,40 @@ def test_mutated_documents_never_crash(command, fixture, data):
             parent[path[-1]] = rng.choice(_SCALARS)
         else:
             parent[path[-1]] = data.draw(_JSON)
-    code, out, err = _main_on_text([command, "-"], json.dumps(doc))
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert err.startswith("error: ")
-        assert out == ""
-    else:
-        assert json.loads(out)["command"] == command
+    _assert_ends_cleanly(command, json.dumps(doc).encode())
+
+
+_JSONISH = st.text('0123456789-/"[]{},:FQ ', min_size=1, max_size=3).map(str.encode)
+_FIXTURE_BYTES = [docs.canonical_json(doc).encode() for doc in FIXTURE_DOCS.values()]
+
+
+@st.composite
+def raw_inputs(draw):
+    """Any bytes, or the bytes of a fixture document with one to four short
+    runs of bytes inserted, deleted or overwritten; a run is any bytes or,
+    half the time, JSON and scalar punctuation, so that some survive
+    decoding."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    raw = bytearray(draw(st.sampled_from(_FIXTURE_BYTES)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(raw)))
+        chunk = draw(st.binary(min_size=1, max_size=3) | _JSONISH)
+        kind = draw(st.sampled_from(("insert", "delete", "overwrite")))
+        if kind == "insert":
+            raw[at:at] = chunk
+        elif kind == "delete":
+            del raw[at : at + len(chunk)]
+        else:
+            raw[at : at + len(chunk)] = chunk
+    return bytes(raw)
+
+
+@settings(max_examples=200)
+@given(command=st.sampled_from(ALL_COMMANDS), raw=raw_inputs())
+def test_raw_bytes_never_crash(command, raw):
+    """Whatever bytes arrive on stdin, every command ends cleanly."""
+    _assert_ends_cleanly(command, raw)
 
 
 def test_integrate_requires_order(tmp_path, capsys):

@@ -15,7 +15,9 @@ from helpers import (
     random_cocycle,
     random_matrix,
     random_pair,
+    reference_check_deformation,
 )
+from moddef.algebra import Module
 from moddef.cochain import Cochain, coboundary_witness, differential, is_cocycle
 from moddef.deformation import (
     ApproximateDeformation,
@@ -469,7 +471,7 @@ def series_pairs(draw):
     return field, left, right, n
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(series_pairs())
 def test_series_term_matches_naive_product_sum(case):
     field, left, right, n = case
@@ -480,3 +482,60 @@ def test_series_term_matches_naive_product_sum(case):
     got = _series_term(left, right, n)
     assert got == want
     assert all(type(x) is (Fraction if field == QQ else int) for row in got.data for x in row)
+
+
+def _over(field, mat):
+    """A rational matrix with small denominators, read in the given field."""
+    return Matrix(field, [[field.parse(str(x)) for x in row] for row in mat.data], mat.ncols)
+
+
+@st.composite
+def deformations(draw):
+    """A valid deformation of order <= 4 over Q, F_13 or F_10007 of a random
+    pair: a random cocycle integrated as far as it goes, conjugated by a
+    random automorphism half the time, or the trivial deformation
+    conjugated by one. Two thirds of the time one entry is then perturbed,
+    either of one term or of one action matrix (order 0)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    alg, mod = random_pair(rng)
+    p = draw(st.sampled_from((None, 13, 10007)))
+    if p is not None:
+        alg, mod = over_prime(alg, mod, p)
+    F = mod.field
+    order = draw(st.integers(1, 4))
+    d = ApproximateDeformation.trivial(mod, order)
+    if draw(st.booleans()):
+        sigma = random_cocycle(mod, rng)
+        d = integrate(sigma, order)
+        if not isinstance(d, ApproximateDeformation):
+            d = integrate(sigma, d[0])  # the order it reached is valid
+    if d.is_trivial() or draw(st.booleans()):
+        terms = [random_matrix(rng, mod.dim, mod.dim, density=0.6, scale=2) for _ in range(d.order)]
+        d = conjugate(FormalAutomorphism(mod, [_over(F, t) for t in terms]), d)
+    where = draw(st.sampled_from(("nowhere", "term", "action")))
+    if where == "nowhere":
+        return d
+    a = rng.randrange(alg.dim)
+    r, c = rng.randrange(mod.dim), rng.randrange(mod.dim)
+    delta = F.parse(str(rng.choice((-2, -1, 1, 2, 3))))
+    if where == "action":
+        action = [Matrix(F, [row[:] for row in m.data]) for m in mod.action]
+        action[a].data[r][c] = F.add(action[a].data[r][c], delta)
+        mod = Module(alg, action)
+        return ApproximateDeformation(mod, [Cochain(mod, 1, t.entries) for t in d.terms])
+    n = rng.randrange(d.order)
+    mat = d.terms[n].value((a,))
+    mat = Matrix(F, [row[:] for row in mat.data])
+    mat.data[r][c] = F.add(mat.data[r][c], delta)
+    terms = list(d.terms)
+    terms[n] = Cochain(mod, 1, {**terms[n].entries, (a,): mat})
+    return ApproximateDeformation(mod, terms)
+
+
+@settings(max_examples=120)
+@given(deformations())
+def test_check_deformation_matches_whole_matrix_oracle(d):
+    """The extension-equation check reports the same first violation
+    (order, i, j), or None, as comparing both sides of every relation as
+    whole matrices."""
+    assert check_deformation(d) == reference_check_deformation(d)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from moddef.errors import InputError
-from moddef.fields import PrimeField, QQ, field_from_name, is_prime
+from moddef.fields import MODULUS_BOUND, PrimeField, QQ, field_from_name, is_prime
 
 
 def test_rational_parse_canonical():
@@ -52,6 +52,21 @@ def test_is_prime_samples():
     composites = [1, 0, 4, 91, 2**31, 341550071728321]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_field_modulus_must_be_below_the_miller_rabin_bound():
+    # psi_12 and psi_13: the least composites that pass Miller-Rabin to the
+    # first twelve and thirteen prime bases, which is_prime cannot tell apart
+    # from primes
+    for n, factors in (
+        (318665857834031151167461, (399165290221, 798330580441)),
+        (3317044064679887385961981, (1287836182261, 2575672364521)),
+    ):
+        assert factors[0] * factors[1] == n
+        with pytest.raises(InputError, match="must be below"):
+            field_from_name(f"F{n}")
+    assert MODULUS_BOUND == 318665857834031151167461
+    assert field_from_name(f"F{2**61 - 1}") == PrimeField(2**61 - 1)
 
 
 def test_field_from_name():

@@ -212,7 +212,7 @@ def scrambled_echelon_forms(draw):
     return field, Matrix(field, rows, ncols), pivots, Matrix(field, scrambled, ncols)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(scrambled_echelon_forms())
 def test_rref_recovers_scrambled_echelon_form(case):
     """The reduced echelon form is unique, so eliminating M R0 must give
@@ -250,7 +250,7 @@ def systems(draw):
     return field, m, rhs
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(systems())
 def test_solve_replays_one_factorisation(case):
     """Many right-hand sides against one matrix: each solve replays the
