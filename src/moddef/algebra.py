@@ -63,41 +63,25 @@ class Algebra:
     def __repr__(self):
         return f"Algebra({self.field.name}, dim={self.dim})"
 
-    def multiply(self, u, v):
-        """Bilinear extension of the structure constants to coordinates."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise InputError("coordinate length does not match algebra dimension")
-        F = self.field
-        out = [F.zero] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.structure[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = F.mul(ui, vj)
-                for k, w in enumerate(row[j]):
-                    if w:
-                        out[k] = F.add(out[k], F.mul(c, w))
-        return out
-
-    def basis_vector(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
+    @cached_property
+    def products(self):
+        """products[i][j]: tuple of (k, c) with nonzero coefficient c of
+        basis element k in the product e_i e_j, in increasing k. Every
+        computation with the structure constants reads this table."""
+        return tuple(
+            tuple(tuple((k, c) for k, c in enumerate(coords) if c) for coords in row)
+            for row in self.structure
+        )
 
     @cached_property
     def product_support(self):
         """For each basis index k: tuple of (i, j, c) with nonzero
         coefficient c of basis element k in the product e_i e_j."""
-        F = self.field
         support = [[] for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in enumerate(self.structure[i][j]):
-                    if c:
-                        support[k].append((i, j, c))
+        for i, row in enumerate(self.products):
+            for j, prod in enumerate(row):
+                for k, c in prod:
+                    support[k].append((i, j, c))
         return tuple(tuple(s) for s in support)
 
 
@@ -126,6 +110,8 @@ class Module:
         self.action = list(action)
         # degree -> assembled differential matrix (cochain.differential_matrix)
         self._differentials = {}
+        # the module's violations, once validate_module has computed them
+        self._violations = None
 
     def __eq__(self, other):
         return self is other or (
@@ -137,16 +123,6 @@ class Module:
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
 
-    def act(self, coords):
-        """Matrix of the algebra element with the given coordinates."""
-        if len(coords) != self.algebra.dim:
-            raise InputError("coordinate length does not match algebra dimension")
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for c, m in zip(coords, self.action):
-            if c:
-                out = out + m.scale(c)
-        return out
-
     def zero_operator(self):
         return Matrix.zeros(self.field, self.dim, self.dim)
 
@@ -154,49 +130,63 @@ class Module:
         return Matrix.identity(self.field, self.dim)
 
 
+def _expand(field, dim, terms):
+    """Coordinates of the sum of c * v over (c, v) in terms, in one pass;
+    each v is given by (k, x) pairs, zero x skipped."""
+    add, mul = field.add, field.mul
+    out = [field.zero] * dim
+    for c, vec in terms:
+        for k, x in vec:
+            if x:
+                out[k] = add(out[k], mul(c, x))
+    return out
+
+
 def validate_algebra(a: Algebra) -> list[Violation]:
     """Check associativity on all basis triples and both unit laws.
     Returns every violation; an empty list means the algebra is valid."""
+    F, n, P = a.field, a.dim, a.products
     out = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            ij = a.structure[i][j]
-            for k in range(a.dim):
-                left = a.multiply(ij, a.basis_vector(k))
-                right = a.multiply(a.basis_vector(i), a.structure[j][k])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = _expand(F, n, ((c, P[l][k]) for l, c in P[i][j]))
+                right = _expand(F, n, ((c, P[i][l]) for l, c in P[j][k]))
                 if left != right:
-                    out.append(
-                        Violation(
-                            "associativity",
-                            (i, j, k),
-                            f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}): {left} vs {right}",
-                        )
-                    )
-    for i in range(a.dim):
-        e = a.basis_vector(i)
-        if a.multiply(a.unit, e) != e:
+                    left, right = (", ".join(map(F.format, v)) for v in (left, right))
+                    msg = f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}): [{left}] vs [{right}]"
+                    out.append(Violation("associativity", (i, j, k), msg))
+    unit = [(l, u) for l, u in enumerate(a.unit) if u]
+    for i in range(n):
+        e = [F.one if k == i else F.zero for k in range(n)]
+        if _expand(F, n, ((u, P[l][i]) for l, u in unit)) != e:
             out.append(Violation("unit-left", (i,), f"1*e{i} != e{i}"))
-        if a.multiply(e, a.unit) != e:
+        if _expand(F, n, ((u, P[i][l]) for l, u in unit)) != e:
             out.append(Violation("unit-right", (i,), f"e{i}*1 != e{i}"))
     return out
 
 
 def validate_module(m: Module) -> list[Violation]:
     """Check multiplicativity of the action on all basis pairs and that the
-    unit acts as the identity."""
-    out = []
-    for i in range(m.algebra.dim):
-        for j in range(m.algebra.dim):
-            composed = m.action[i] @ m.action[j]
-            expanded = m.act(m.algebra.structure[i][j])
-            if composed != expanded:
-                out.append(
-                    Violation(
-                        "multiplicativity",
-                        (i, j),
-                        f"action(e{i}) action(e{j}) != action(e{i} e{j})",
-                    )
-                )
-    if m.act(m.algebra.unit) != m.identity_operator():
-        out.append(Violation("unit", (), "unit does not act as the identity"))
-    return out
+    unit acts as the identity.
+
+    The violations are kept on the module, as its differentials are, so
+    each module is checked once; callers must not mutate the action."""
+    if m._violations is None:
+        F, n, P, A = m.field, m.dim, m.algebra.products, m.action
+
+        def act(coords):  # rows of the action of sum c e_k over (k, c) in coords
+            return [
+                _expand(F, n, ((c, enumerate(A[k].data[r])) for k, c in coords)) for r in range(n)
+            ]
+
+        out = []
+        for i in range(m.algebra.dim):
+            for j in range(m.algebra.dim):
+                if (A[i] @ A[j]).data != act(P[i][j]):
+                    msg = f"action(e{i}) action(e{j}) != action(e{i} e{j})"
+                    out.append(Violation("multiplicativity", (i, j), msg))
+        if act([(k, u) for k, u in enumerate(m.algebra.unit) if u]) != m.identity_operator().data:
+            out.append(Violation("unit", (), "unit does not act as the identity"))
+        m._violations = tuple(out)
+    return list(m._violations)

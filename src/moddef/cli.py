@@ -4,7 +4,8 @@ One self-contained JSON document in, one canonical JSON result out.
 
 Exit codes: 0 = computed with an affirmative verdict, 1 = computed with a
 negative verdict (the result carries a checkable certificate), 2 = input
-or resource error (diagnostic on stderr, no result document).
+or resource error, or a result that cannot be written (diagnostic on
+stderr, no result document).
 """
 
 import argparse
@@ -72,15 +73,6 @@ def _require(problem, name):
     return value
 
 
-def _require_valid(problem):
-    issues = validate_algebra(problem.algebra)
-    if issues:
-        raise InputError(f"invalid algebra: {issues[0].message}")
-    issues = validate_module(problem.module)
-    if issues:
-        raise InputError(f"invalid module: {issues[0].message}")
-
-
 def _require_deformation(problem, name="deformation"):
     d = _require(problem, name)
     issue = check_deformation(d)
@@ -109,12 +101,14 @@ def _outcome_payload(outcome: ObstructionOutcome):
 
 
 def run(command, problem: doc.ProblemDocument):
-    """Dispatch one command; returns (result dict, exit code)."""
+    """Validate the problem, then dispatch one command; returns (result
+    dict, exit code). Every command but validate refuses an invalid
+    problem."""
     result = {"command": command}
+    alg_issues = validate_algebra(problem.algebra)
+    mod_issues = validate_module(problem.module)
 
     if command == "validate":
-        alg_issues = validate_algebra(problem.algebra)
-        mod_issues = validate_module(problem.module)
         ok = not alg_issues and not mod_issues
         result["verdict"] = "valid" if ok else "invalid"
         result["report"] = {
@@ -123,7 +117,10 @@ def run(command, problem: doc.ProblemDocument):
         }
         return result, 0 if ok else 1
 
-    _require_valid(problem)
+    if alg_issues:
+        raise InputError(f"invalid algebra: {alg_issues[0].message}")
+    if mod_issues:
+        raise InputError(f"invalid module: {mod_issues[0].message}")
     module = problem.module
 
     if command == "cohomology":
@@ -273,33 +270,27 @@ def _read_input(path):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.fixtures:
-        _emit(doc.canonical_json(fixture_documents()), args.output)
-        return 0
-
-    if args.command is None:
+    if args.command is None and not args.fixtures:
         build_parser().error("a command is required (or use --fixtures)")
 
     try:
-        text = _read_input(args.input)
-        overrides = {
-            "dim_r": args.g_dim_r,
-            "dim_m": args.g_dim_m,
-            "order": args.g_order,
-            "degree": args.g_degree,
-        }
-        options = {"order": args.order, "degree": args.degree}
-        problem = doc.parse_problem(text, args.field, overrides, options)
-        result, code = run(args.command, problem)
-    except (InputError, ResourceError) as exc:
+        if args.fixtures:
+            result, code = fixture_documents(), 0
+        else:
+            text = _read_input(args.input)
+            overrides = {
+                "dim_r": args.g_dim_r,
+                "dim_m": args.g_dim_m,
+                "order": args.g_order,
+                "degree": args.g_degree,
+            }
+            options = {"order": args.order, "degree": args.degree}
+            problem = doc.parse_problem(text, args.field, overrides, options)
+            result, code = run(args.command, problem)
+        _emit(doc.canonical_json(result), args.output)
+    except (InputError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    _emit(doc.canonical_json(result), args.output)
     return code
 
 

@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from moddef.algebra import Algebra, Module
+from moddef.algebra import Algebra, Module, Violation
 from moddef.cochain import Cochain, CohomologyReport, differential_matrix
 from moddef.deformation import ApproximateDeformation, DeformationViolation, FormalAutomorphism
 from moddef.fields import PrimeField, QQ
@@ -146,6 +146,93 @@ def reference_check_deformation(d: ApproximateDeformation):
                 if lhs != rhs:
                     return DeformationViolation(n, i, j)
     return None
+
+
+# ---------------------------------------------------------------------------
+# dense-product validation oracles
+
+
+def multiply(alg: Algebra, u, v):
+    """Bilinear extension of the dense structure constants to coordinates."""
+    F = alg.field
+    out = [F.zero] * alg.dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        row = alg.structure[i]
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            c = F.mul(ui, vj)
+            for k, w in enumerate(row[j]):
+                if w:
+                    out[k] = F.add(out[k], F.mul(c, w))
+    return out
+
+
+def basis_vector(alg: Algebra, i):
+    v = [alg.field.zero] * alg.dim
+    v[i] = alg.field.one
+    return v
+
+
+def act(mod: Module, coords):
+    """Matrix of the algebra element with the given coordinates, as a sum
+    of scaled copies of the action matrices."""
+    out = Matrix.zeros(mod.field, mod.dim, mod.dim)
+    for c, m in zip(coords, mod.action):
+        if c:
+            out = out + m.scale(c)
+    return out
+
+
+def reference_validate_algebra(alg: Algebra):
+    """Associativity on every basis triple, then both unit laws, each
+    product taken by dense multiplication of coordinate vectors."""
+    F = alg.field
+    out = []
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            ij = alg.structure[i][j]
+            for k in range(alg.dim):
+                left = multiply(alg, ij, basis_vector(alg, k))
+                right = multiply(alg, basis_vector(alg, i), alg.structure[j][k])
+                if left != right:
+                    lt, rt = (", ".join(F.format(x) for x in v) for v in (left, right))
+                    out.append(
+                        Violation(
+                            "associativity",
+                            (i, j, k),
+                            f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}): [{lt}] vs [{rt}]",
+                        )
+                    )
+    for i in range(alg.dim):
+        e = basis_vector(alg, i)
+        if multiply(alg, alg.unit, e) != e:
+            out.append(Violation("unit-left", (i,), f"1*e{i} != e{i}"))
+        if multiply(alg, e, alg.unit) != e:
+            out.append(Violation("unit-right", (i,), f"e{i}*1 != e{i}"))
+    return out
+
+
+def reference_validate_module(mod: Module):
+    """Multiplicativity on every basis pair, then the unit, with both
+    sides built as whole matrices."""
+    alg = mod.algebra
+    out = []
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            if mod.action[i] @ mod.action[j] != act(mod, alg.structure[i][j]):
+                out.append(
+                    Violation(
+                        "multiplicativity",
+                        (i, j),
+                        f"action(e{i}) action(e{j}) != action(e{i} e{j})",
+                    )
+                )
+    if act(mod, alg.unit) != mod.identity_operator():
+        out.append(Violation("unit", (), "unit does not act as the identity"))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import catalog_pairs, frac_mat, random_pair
+from helpers import (
+    catalog_pairs,
+    frac_mat,
+    over_prime,
+    random_pair,
+    reference_validate_algebra,
+    reference_validate_module,
+)
 from moddef.algebra import Algebra, Module, validate_algebra, validate_module
 from moddef.errors import InputError
-from moddef.fields import QQ
+from moddef.fields import QQ, PrimeField
 from moddef.fixtures import dual_numbers, fixture_a, fixture_c, matrix_algebra_2
 from moddef.linalg import Matrix
 
@@ -78,33 +87,6 @@ def test_module_unit_failure():
     assert any(v.kind == "unit" for v in report)
 
 
-def test_multiply_unit_law():
-    rng = random.Random(5)
-    alg = matrix_algebra_2()
-    v = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-    assert alg.multiply(alg.unit, v) == v
-    assert alg.multiply(v, alg.unit) == v
-
-
-def test_multiply_dual_numbers():
-    alg = dual_numbers()
-    x = [Q0, Q1]
-    assert alg.multiply(x, x) == [Q0, Q0]
-
-
-def test_multiply_matrix_units():
-    alg = matrix_algebra_2()
-    e12 = alg.basis_vector(1)
-    e21 = alg.basis_vector(2)
-    assert alg.multiply(e12, e21) == alg.basis_vector(0)  # e11
-
-
-def test_multiply_length_check():
-    alg = dual_numbers()
-    with pytest.raises(InputError):
-        alg.multiply([Q1], [Q1, Q0])
-
-
 def test_catalog_pairs_are_valid():
     for alg, mod in catalog_pairs():
         assert validate_algebra(alg) == []
@@ -117,3 +99,70 @@ def test_random_basis_change_preserves_validity():
         alg, mod = random_pair(rng)
         assert validate_algebra(alg) == []
         assert validate_module(mod) == []
+
+
+FIELDS = {"Q": QQ, "F3": PrimeField(3), "F13": PrimeField(13)}
+Q_ENTRIES = tuple(Fraction(x) for x in ("0", "1", "-1", "1/2", "-1/2", "2"))
+
+
+@st.composite
+def algebra_module_tables(draw):
+    """An algebra of dimension 1-3 and a module of dimension 1-2 over Q,
+    F_3 or F_13: a random table (almost always invalid), a valid
+    random_pair, or a valid pair with one structure constant, unit
+    coordinate or action entry replaced."""
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    scalar = st.sampled_from(Q_ENTRIES) if F is QQ else st.integers(0, F.p - 1)
+    kind = draw(st.sampled_from(("random", "random", "valid", "perturbed")))
+    if kind == "random":
+        n, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        vector = st.lists(scalar, min_size=n, max_size=n)
+        row = st.lists(vector, min_size=n, max_size=n)
+        structure = draw(st.lists(row, min_size=n, max_size=n))
+        alg = Algebra(F, structure, draw(vector))
+        rows = st.lists(st.lists(scalar, min_size=d, max_size=d), min_size=d, max_size=d)
+        action = [Matrix(F, draw(rows), d) for _ in range(n)]
+        return alg, Module(alg, action)
+    alg, mod = random_pair(random.Random(draw(st.integers(0, 2**32))), max_dim_r=3, max_dim_m=2)
+    if F is not QQ:
+        alg, mod = over_prime(alg, mod, F.p)
+    if kind == "valid":
+        return alg, mod
+    n, d = alg.dim, mod.dim
+    structure = [[list(v) for v in row] for row in alg.structure]
+    unit = list(alg.unit)
+    action = [Matrix(F, [r[:] for r in m.data], d) for m in mod.action]
+
+    def index(size):
+        return draw(st.integers(0, size - 1))
+
+    where = draw(st.sampled_from(("structure", "unit", "action")))
+    if where == "structure":
+        structure[index(n)][index(n)][index(n)] = draw(scalar)
+    elif where == "unit":
+        unit[index(n)] = draw(scalar)
+    else:
+        action[index(n)].data[index(d)][index(d)] = draw(scalar)
+    alg = Algebra(F, structure, unit)
+    return alg, Module(alg, action)
+
+
+@settings(max_examples=400)
+@given(algebra_module_tables())
+def test_validators_match_dense_product_oracles(pair):
+    alg, mod = pair
+    assert validate_algebra(alg) == reference_validate_algebra(alg)
+    assert validate_module(mod) == reference_validate_module(mod)
+    # kept on the module: a second call, after mutating the first list,
+    # returns the same violations
+    validate_module(mod).clear()
+    assert validate_module(mod) == reference_validate_module(mod)
+    # the sparse table lists each nonzero constant once, as d_n reads it
+    support = [[] for _ in range(alg.dim)]
+    for i, row in enumerate(alg.structure):
+        for j, coords in enumerate(row):
+            for k, c in enumerate(coords):
+                if c:
+                    support[k].append((i, j, c))
+    assert alg.product_support == tuple(map(tuple, support))
+

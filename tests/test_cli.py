@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 import moddef
 from helpers import projector_module
 from moddef import documents as docs
-from moddef.cli import main, run
+from moddef.cli import build_parser, main, run
 from moddef.deformation import check_deformation
 from moddef.errors import InputError
 from moddef.fixtures import fixture_documents
+from moddef.linalg import Matrix
 
 FIXTURE_DOCS = fixture_documents()
 
@@ -193,6 +194,39 @@ def test_validate_reports_violation(tmp_path):
     assert "associativity" in kinds or "unit-left" in kinds
 
 
+@pytest.mark.parametrize(
+    "field,expected",
+    [("Q", "[0, 1/2] vs [0, 1/4]"), ("F7", "[0, 4] vs [0, 2]")],
+    ids=["Q", "F7"],
+)
+def test_validate_message_prints_canonical_scalars(tmp_path, field, expected):
+    doc = copy.deepcopy(FIXTURE_DOCS["A"])
+    # 1 * x = x/2 breaks (e0 e0) e1 = e0 (e0 e1)
+    doc["algebra"]["structure"][0][1] = ["0", "1/2"]
+    code, result, _ = run_cli(tmp_path, "validate", doc, "--field", field)
+    assert code == 1
+    messages = [v["message"] for v in result["report"]["algebra"]]
+    assert f"(e0 e0) e1 != e0 (e0 e1): {expected}" in messages
+    assert not any("Fraction(" in m for m in messages)
+
+
+@pytest.mark.parametrize("command", ["obstruction", "equiv-step"])
+def test_module_axioms_are_computed_once(tmp_path, monkeypatch, command):
+    # validate_module is the only caller of Matrix.__matmul__ on these
+    # paths: one product per basis pair of fixture C's 2-dimensional algebra
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counting(self, other):
+        products.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    code, result, _ = run_cli(tmp_path, command, FIXTURE_DOCS["C"], name="C")
+    assert code == 0 and result["command"] == command
+    assert len(products) == 4
+
+
 def test_invalid_algebra_blocks_other_commands(tmp_path, capsys):
     doc = copy.deepcopy(FIXTURE_DOCS["A"])
     doc["algebra"]["structure"][0][1] = ["0", "0"]
@@ -336,6 +370,24 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, content):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["validate", "{doc}", "--output", "{tmp}/missing/out.json"], id="missing-dir"),
+        pytest.param(["validate", "{doc}", "--output", "{tmp}"], id="directory"),
+        pytest.param(["--fixtures", "--output", "{tmp}/missing/x.json"], id="fixtures-missing-dir"),
+    ],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    in_path = write_doc(tmp_path, "C", FIXTURE_DOCS["C"])
+    argv = [a.format(doc=in_path, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize(
@@ -557,6 +609,27 @@ def test_stdin_input(monkeypatch, capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["verdict"] == "valid"
+
+
+def test_cli_surface_is_pinned():
+    # no option, flag or command is added or renamed without this list
+    parser = build_parser()
+    assert [(a.dest, a.option_strings) for a in parser._actions] == [
+        ("help", ["-h", "--help"]),
+        ("command", []),
+        ("input", []),
+        ("field", ["--field"]),
+        ("order", ["--order"]),
+        ("degree", ["--degree"]),
+        ("output", ["--output"]),
+        ("fixtures", ["--fixtures"]),
+        ("g_dim_r", ["--guardrail-dim-r"]),
+        ("g_dim_m", ["--guardrail-dim-m"]),
+        ("g_order", ["--guardrail-order"]),
+        ("g_degree", ["--guardrail-degree"]),
+    ]
+    (command,) = [a for a in parser._actions if a.dest == "command"]
+    assert list(command.choices) == list(ALL_COMMANDS)
 
 
 # --- determinism ------------------------------------------------------------------
