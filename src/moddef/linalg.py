@@ -8,6 +8,9 @@ of the echelon form set to zero, which makes all emitted witnesses and
 representatives deterministic.
 """
 
+from itertools import compress, repeat
+from operator import is_not, itemgetter, neg
+
 from ._backend import kernel
 from .errors import InputError
 from .fields import PrimeField
@@ -139,14 +142,14 @@ class Matrix:
 
     def rref(self):
         """Reduced row-echelon form and pivot columns (cached, together
-        with the row operations that produced them, for solve)."""
+        with the row operations that produced them, for solve). Its zero
+        rows below the rank share one list."""
         if self._rref is None:
-            rows = [row[:] for row in self.data]
             ops = []
             if isinstance(self.field, PrimeField):
-                reduced, pivots = kernel.rref_mod(rows, self.ncols, self.field.p, ops=ops)
+                reduced, pivots = kernel.rref_mod(self.data, self.ncols, self.field.p, ops=ops)
             else:
-                reduced, pivots = kernel.rref_rational(rows, self.ncols, ops=ops)
+                reduced, pivots = kernel.rref_rational(self.data, self.ncols, ops=ops)
             self._rref = (Matrix(self.field, reduced, self.ncols), pivots)
             self._ops = ops
         return self._rref
@@ -156,21 +159,29 @@ class Matrix:
 
     def kernel_basis(self):
         """Canonical null-space basis: one vector per free column, that
-        column's entry set to one, pivot entries back-filled."""
+        column's entry set to one, pivot entries back-filled from the
+        nonzero free entries of each pivot row."""
         reduced, pivots = self.rref()
         F = self.field
-        pivot_set = set(pivots)
+        zero, ncols = F.zero, self.ncols
+        free = sorted(set(range(ncols)).difference(pivots))
         basis = []
-        for j in range(self.ncols):
-            if j in pivot_set:
-                continue
-            v = [F.zero] * self.ncols
+        for j in free:
+            v = [zero] * ncols
             v[j] = F.one
-            for r, pc in enumerate(pivots):
-                coef = reduced.data[r][j]
-                if coef:
-                    v[pc] = F.neg(coef)
             basis.append(v)
+        if not free:
+            return basis
+        take = itemgetter(*free)  # one row's free entries, gathered at C level
+        zeros = repeat(zero)
+        prime = isinstance(F, PrimeField)
+        minus = F.p.__sub__ if prime else neg  # F.neg, without its Python frame
+        for row, pc in zip(reduced.data, pivots):
+            coefs = take(row) if len(free) > 1 else (row[free[0]],)
+            # an int's truth value is read at C level, a Fraction's is not
+            for v, coef in compress(zip(basis, coefs), coefs if prime else map(is_not, coefs, zeros)):
+                if coef:
+                    v[pc] = minus(coef)
         return basis
 
 

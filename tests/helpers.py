@@ -25,12 +25,18 @@ from moddef.linalg import Matrix
 
 
 def oracle_rref(mat: Matrix):
-    """Reduced echelon form over Q computed from scratch: integer-scaled
-    rows, Bareiss forward elimination (exact divisions asserted), then
-    plain back-substitution. Returns (Matrix, pivot tuple)."""
+    """Reduced echelon form computed from scratch, dense and with the first
+    usable row as pivot: over Q, integer-scaled rows and Bareiss forward
+    elimination (exact divisions asserted); over F_p, division-free
+    cross-multiplication modulo p. Then plain back-substitution. Returns
+    (Matrix, pivot tuple)."""
     m, n = mat.nrows, mat.ncols
+    p = mat.field.p if isinstance(mat.field, PrimeField) else None
     rows = []
     for row in mat.data:
+        if p is not None:
+            rows.append([x % p for x in row])
+            continue
         den = 1
         for x in row:
             den = den * x.denominator // math.gcd(den, x.denominator)
@@ -48,25 +54,32 @@ def oracle_rref(mat: Matrix):
         for i in range(r + 1, m):
             for j in range(c + 1, n):
                 num = rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]
+                if p is not None:
+                    rows[i][j] = num % p
+                    continue
                 assert num % prev == 0, "Bareiss division must be exact"
                 rows[i][j] = num // prev
             rows[i][c] = 0
         prev = rows[r][c]
         pivots.append(c)
         r += 1
-    # back-substitute with plain rational arithmetic
-    frac = [[Fraction(x) for x in row] for row in rows]
+    # back-substitute with plain field arithmetic
+    if p is None:
+        rows = [[Fraction(x) for x in row] for row in rows]
+        inverse, reduce = (lambda x: 1 / x), (lambda x: x)
+    else:
+        inverse, reduce = (lambda x: pow(x, p - 2, p)), (lambda x: x % p)
     for k in reversed(range(len(pivots))):
         c = pivots[k]
-        pv = frac[k][c]
-        frac[k] = [x / pv for x in frac[k]]
+        inv = inverse(rows[k][c])
+        rows[k] = [reduce(x * inv) for x in rows[k]]
         for i in range(k):
-            f = frac[i][c]
+            f = rows[i][c]
             if f:
-                frac[i] = [a - f * b for a, b in zip(frac[i], frac[k])]
+                rows[i] = [reduce(a - f * b) for a, b in zip(rows[i], rows[k])]
     for i in range(len(pivots), m):
-        frac[i] = [Fraction(0)] * n
-    return Matrix(QQ, frac, n), tuple(pivots)
+        rows[i] = [mat.field.zero] * n
+    return Matrix(mat.field, rows, n), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------

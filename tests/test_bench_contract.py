@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import moddef
-from helpers import frac_mat
-from moddef import _backend
-from moddef.cochain import Cochain
+from helpers import frac_mat, jordan_module, over_prime
+from moddef import _backend, _kernel_py
+from moddef.cochain import Cochain, cohomology
 from moddef.fixtures import fixture_c
 from moddef.linalg import Matrix
 
@@ -74,3 +74,30 @@ def test_tracer_installs_completely_and_sees_the_cache(layers):
     assert counts["cochain.assemble_calls"] == 3
     assert counts["kernel.calls"] == 1
     assert counts["linalg.rref_cached"] == 2
+
+
+def test_traced_kernel_inputs_replay_to_the_traced_pivots(layers):
+    """What ``perfbench/run.py --trace 1`` checks at the end of a traced
+    run: every kernel input the tracer captured, eliminated again on fresh
+    copies, gives the pivots of the traced call and leaves its rows as
+    captured."""
+    alg, mod_q = jordan_module(4, 3)
+    for mod in (mod_q, over_prime(alg, mod_q, 10007)[1]):
+        tracer = layers.Tracer(moddef, _backend.kernel)
+        tracer.capture = captured = []
+        tracer.install()
+        try:
+            for degree in range(3):
+                cohomology(mod, degree)
+        finally:
+            tracer.uninstall()
+        assert tracer.missing == []
+        assert len(captured) == tracer.counts["kernel.calls"] >= 3
+        for rows, ncols, p, pivots in captured:
+            fresh = [r[:] for r in rows]
+            if p is None:
+                _, got = _kernel_py.rref_rational(fresh, ncols)
+            else:
+                _, got = _kernel_py.rref_mod(fresh, ncols, p)
+            assert got == pivots
+            assert fresh == rows

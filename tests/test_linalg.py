@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import frac_mat, oracle_rref, random_matrix, random_mod_matrix, reference_solve
+from moddef import _kernel_py as kernel
 from moddef.errors import InputError
 from moddef.fields import PrimeField, QQ
 from moddef.linalg import Matrix, solve
@@ -267,3 +268,86 @@ def test_solve_replays_one_factorisation(case):
             assert all(type(x) in (Fraction, int) for x in got)
         assert ops is None or m._ops is ops  # factorised once
         ops = m._ops
+
+
+def test_kernel_leaves_its_input_rows_unchanged():
+    """The kernel reads its argument rows and builds its output rows fresh;
+    Matrix.rref hands it the matrix's own rows without a copy."""
+    q_rows = [
+        [Fraction(0), Fraction(2), Fraction(1, 3)],
+        [0, Fraction(4), Fraction(0)],
+        [Fraction(5), QQ.zero, 7],
+    ]
+    f_rows = [[0, 3, 5], [7, 0, 2], [7, 3, 8]]
+    for rows, eliminate in (
+        (q_rows, lambda rows, ops: kernel.rref_rational(rows, 3, ops)),
+        (f_rows, lambda rows, ops: kernel.rref_mod(rows, 3, 13, ops)),
+    ):
+        before = [row[:] for row in rows]
+        objects = list(rows)
+        reduced, pivots = eliminate(rows, [])
+        assert rows == before and all(a is b for a, b in zip(rows, objects))
+        assert not any(out is row for out in reduced for row in rows)
+        assert pivots == (0, 1, 2)
+    m = random_matrix(random.Random(3), 6, 5, density=0.4)
+    before = [row[:] for row in m.data]
+    m.rref()
+    m.kernel_basis()
+    assert m.data == before
+
+
+@st.composite
+def sparse_systems(draw):
+    """(field, rows, right-hand sides): a sparse matrix of up to 60x40 at
+    0.5-5% density with zero rows and duplicate rows, in which over Q some
+    zero cells hold a fresh Fraction(0) or an int 0 instead of the field's
+    zero object, and some nonzero cells hold ints."""
+    field = draw(st.sampled_from(_RREF_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nrows = draw(st.integers(1, 60))
+    ncols = draw(st.integers(1, 40))
+    density = draw(st.sampled_from((0.005, 0.02, 0.05)))
+
+    def scalar():
+        if field != QQ:
+            return rng.randrange(1, field.p)
+        if rng.random() < 0.3:
+            return rng.choice((-2, -1, 1, 3))
+        return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+
+    def zero():
+        if field != QQ:
+            return 0
+        return rng.choice((QQ.zero, QQ.zero, Fraction(0), 0))
+
+    rows = [[scalar() if rng.random() < density else zero() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 3))):  # duplicates, some scaled
+        i, j = rng.randrange(nrows), rng.randrange(nrows)
+        c = field.one if rng.random() < 0.5 else scalar()
+        rows[j] = [field.mul(c, x) if x else x for x in rows[i]]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[rng.randrange(nrows)] = [zero() for _ in range(ncols)]
+    m = Matrix(field, rows, ncols)
+    rhs = [m.matvec([scalar() if rng.random() < 0.2 else field.zero for _ in range(ncols)])]
+    rhs.append([scalar() if rng.random() < 0.1 else field.zero for _ in range(nrows)])
+    return field, rows, rhs
+
+
+@settings(max_examples=200)
+@given(sparse_systems())
+def test_sparse_kernel_matches_oracle_in_any_row_order(case):
+    """The sparse elimination returns the oracle's reduced rows and pivots,
+    the same result for every order of the input rows (so its pivot
+    choices cannot leak into the output), and solves through its recorded
+    row operations as a fresh elimination of [a | b] does."""
+    field, rows, rhs = case
+    ncols = len(rows[0])
+    m = Matrix(field, rows, ncols)
+    want = oracle_rref(m)
+    assert m.rref() == want
+    assert all(type(x) in (Fraction, int) for row in m.rref()[0].data for x in row)
+    shuffled = rows[:]
+    random.Random(len(rows)).shuffle(shuffled)
+    assert Matrix(field, shuffled, ncols).rref() == want
+    for b in rhs:
+        assert solve(m, b) == reference_solve(m, b)
