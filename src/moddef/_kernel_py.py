@@ -6,17 +6,16 @@ downstream is determined by the input alone: the order in which pivots are
 taken changes the work, never the result.
 
 The differentials are about 0.5% nonzero, so the elimination is sparse
-between two dense boundaries. The input rows are read once into dicts of
-their nonzero entries; cells holding the field's zero object are skipped
-at C level, and any other zero (a fresh Fraction(0), an int 0 over Q) by
-its truth value. A column -> rows index lists the rows that may hold each
-column; it can keep stale entries, which are checked when read, so the
-elimination only ever touches nonzeros. Columns are taken in order, and
-the pivot of a column is its candidate row with the fewest nonzeros
-(Markowitz's rule restricted to one column), ties going to the row
-earliest in the current order. The reduced rows are written back out as
-fresh dense lists, the zero rows below the rank as one shared list; the
-input rows are never mutated.
+from end to end. A row is a list of (column, value) pairs in increasing
+column order that holds only nonzero values; it is read once into a dict
+(``dict(row)``, at C level) and the input rows are never mutated. A
+column -> rows index lists the rows that may hold each column; it can keep
+stale entries, which are checked when read, so the elimination only ever
+touches nonzeros. Columns are taken in order, and the pivot of a column is
+its candidate row with the fewest nonzeros (Markowitz's rule restricted to
+one column), ties going to the row earliest in the current order. The
+reduced rows come out in the same form, each a fresh list; a row below the
+rank is empty.
 
 The elimination can record its row operations, one (swapped row, pivot
 inverse or None, [(row, factor), ...]) triple per pivot. Replaying that
@@ -26,10 +25,6 @@ second elimination.
 """
 
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import is_not
-
-from .fields import QQ
 
 _ONE = Fraction(1)
 
@@ -37,27 +32,18 @@ _ONE = Fraction(1)
 def _rref(rows, ncols, p, ops):
     """Gauss-Jordan elimination over Q (p is None) or over F_p.
 
-    rows: lists of length ncols (read only); over F_p, ints in [0, p).
+    rows: sparse rows (read only), pairs (column, nonzero value) in
+    increasing column order; over F_p the values are ints in (0, p).
     ops: None, or a list that receives the row operations.
-    Returns (fresh dense rows, pivot column tuple); the rows below the
-    rank are one shared zero list, so callers must not mutate the result."""
-    zero = QQ.zero if p is None else 0
+    Returns (sparse reduced rows, pivot column tuple)."""
     nrows = len(rows)
     # sparse[i]: row i as {column: nonzero}; index[c]: the rows that hold,
     # or once held, a nonzero in column c
-    sparse = []
-    columns = list(range(ncols))  # a list iterates without making ints
-    index = [[] for _ in columns]
-    zeros = repeat(zero)
-    for i, row in enumerate(rows):
-        d = {}
-        # over F_p an int's truth value is read at C level too
-        for j in compress(columns, row if p else map(is_not, row, zeros)):
-            v = row[j]
-            if v:
-                d[j] = v
-                index[j].append(i)
-        sparse.append(d)
+    sparse = [dict(row) for row in rows]
+    index = [[] for _ in range(ncols)]
+    for i, d in enumerate(sparse):
+        for j in d:
+            index[j].append(i)
     at = list(range(nrows))  # position -> row
     where = at[:]  # row -> position
     pivots = []
@@ -134,12 +120,8 @@ def _rref(rows, ncols, p, ops):
         if ops is not None:
             ops.append((pr, inv, factors))
         pivots.append(c)
-    rank = len(pivots)
-    out = [[zero] * ncols] * nrows  # every row below the rank: one zero list
-    for r in range(rank):
-        row = out[r] = [zero] * ncols
-        for j, v in sparse[at[r]].items():
-            row[j] = v
+    out = [sorted(sparse[i].items()) for i in at[: len(pivots)]]
+    out += [[] for _ in range(nrows - len(pivots))]
     return out, tuple(pivots)
 
 

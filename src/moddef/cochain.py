@@ -30,7 +30,8 @@ from .errors import InputError, ResourceError
 from .linalg import Matrix, reduced_column, solve
 
 # Largest differential matrix (rows x cols) that differential_matrix will
-# build: 2**24 cells, 128 MiB of row pointers for one dense copy.
+# build: 2**24 cells. The matrix is sparse, but the cells bound the work of
+# eliminating it and of the dense vectors its kernel basis is made of.
 MAX_DIFFERENTIAL_CELLS = 2**24
 
 
@@ -224,9 +225,16 @@ def is_cocycle(f: Cochain) -> bool:
 
 
 def differential_matrix(module, degree) -> Matrix:
-    """The degree-n differential as a matrix in the flattening order,
-    mapping degree-n coordinates to degree-(n+1) coordinates. Refuses,
-    before allocating, a matrix of more than MAX_DIFFERENTIAL_CELLS cells.
+    """The degree-n differential as a sparse matrix in the flattening
+    order, mapping degree-n coordinates to degree-(n+1) coordinates.
+    Refuses, before assembling, a matrix of more than
+    MAX_DIFFERENTIAL_CELLS cells.
+
+    Each column is scattered from _column into one dict per row; field
+    addition runs only where two terms meet in a cell, and a sum that
+    cancels is deleted, so every row holds nonzeros only. Columns are
+    visited in order, so each dict already lists its columns in increasing
+    order.
 
     Assembled once per (module, degree) and kept on the module, so every
     witness, certificate and rank over that module shares one matrix and
@@ -245,16 +253,25 @@ def differential_matrix(module, degree) -> Matrix:
     cached = module._differentials.get(degree)
     if cached is not None:
         return cached
-    out = Matrix.zeros(module.field, nrows, ncols)
+    rows = [{} for _ in range(nrows)]
     add = module.field.add
     col = 0
     for key in product(range(d_r), repeat=degree):
         for r in range(d_m):
             for c in range(d_m):
                 for idx, v in _column(module, key, r, c):
-                    row = out.data[idx]
-                    row[col] = add(row[col], v)
+                    row = rows[idx]
+                    old = row.get(col)
+                    if old is None:
+                        row[col] = v
+                    else:
+                        v = add(old, v)
+                        if v:
+                            row[col] = v
+                        else:
+                            del row[col]
                 col += 1
+    out = Matrix.sparse(module.field, [list(row.items()) for row in rows], ncols)
     module._differentials[degree] = out
     return out
 

@@ -126,9 +126,11 @@ class PrimeField:
 
     def parse(self, text: str):
         num, den = _split(text)
-        if den % self.p == 0:
-            raise InputError(f"scalar {text!r} has denominator divisible by {self.p}")
-        return num * pow(den, self.p - 2, self.p) % self.p
+        p = self.p
+        den %= p
+        if den == 0:
+            raise InputError(f"scalar {text!r} has denominator divisible by {p}")
+        return num % p if den == 1 else num * pow(den, -1, p) % p
 
     def format(self, a) -> str:
         return str(a)

@@ -1,4 +1,4 @@
-"""Dense exact matrices and the linear-algebra core.
+"""Exact matrices, dense or sparse, and the linear-algebra core.
 
 Everything downstream (validation, differentials, witness searches,
 obstruction solves) reduces to the operations here: reduced row-echelon
@@ -6,10 +6,15 @@ form, rank, kernel bases, and affine solves. All arithmetic is exact; the
 canonical solution of a linear system is the one with every free variable
 of the echelon form set to zero, which makes all emitted witnesses and
 representatives deterministic.
-"""
 
-from itertools import compress, repeat
-from operator import is_not, itemgetter, neg
+A matrix is built from dense rows (the small d_m x d_m operators) or from
+sparse rows (the differentials d_n, and every reduced echelon form). A
+sparse row is a list of (column, value) pairs in increasing column order
+holding only nonzero values. Elimination, rank, kernel bases, solves and
+the transpose all work on sparse rows; a dense matrix is converted once,
+when it is first eliminated. The dense rows of a sparse matrix are built
+only when something reads ``data``.
+"""
 
 from ._backend import kernel
 from .errors import InputError
@@ -17,12 +22,14 @@ from .fields import PrimeField
 
 
 class Matrix:
-    """Immutable-by-convention dense matrix over a fixed field.
+    """Immutable-by-convention matrix over a fixed field.
 
-    data is a list of rows; rows are lists of field scalars.
+    data is a list of dense rows, lists of field scalars. rows is None for
+    a matrix built from dense rows, else its sparse rows; data is then
+    built from them the first time it is read.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_rref", "_ops")
+    __slots__ = ("field", "nrows", "ncols", "data", "rows", "_rref", "_ops")
 
     def __init__(self, field, data, ncols=None):
         self.field = field
@@ -36,8 +43,36 @@ class Matrix:
                 raise InputError("ragged matrix rows")
         self.ncols = ncols
         self.data = data
+        self.rows = None
         self._rref = None
         self._ops = None
+
+    @classmethod
+    def sparse(cls, field, rows, ncols):
+        """The matrix with these sparse rows (not copied)."""
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols, m.rows = field, len(rows), ncols, rows
+        m._rref = m._ops = None
+        return m
+
+    def __getattr__(self, name):
+        # only reached while a slot is unset: data of a sparse matrix
+        if name != "data":
+            raise AttributeError(name)
+        zero, ncols = self.field.zero, self.ncols
+        data = []
+        for row in self.rows:
+            dense = [zero] * ncols
+            for j, v in row:
+                dense[j] = v
+            data.append(dense)
+        self.data = data
+        return data
+
+    def _sparse_rows(self):
+        if self.rows is not None:
+            return self.rows
+        return [[(j, v) for j, v in enumerate(row) if v] for row in self.data]
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -126,11 +161,11 @@ class Matrix:
         return out
 
     def transpose(self):
-        return Matrix(
-            self.field,
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
+        cols = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self._sparse_rows()):
+            for j, v in row:
+                cols[j].append((i, v))
+        return Matrix.sparse(self.field, cols, self.nrows)
 
     def _check_same_shape(self, other):
         if self.field != other.field:
@@ -141,16 +176,17 @@ class Matrix:
     # -- elimination ------------------------------------------------------
 
     def rref(self):
-        """Reduced row-echelon form and pivot columns (cached, together
-        with the row operations that produced them, for solve). Its zero
-        rows below the rank share one list."""
+        """Reduced row-echelon form, as a sparse matrix, and pivot columns
+        (cached, together with the row operations that produced them, for
+        solve)."""
         if self._rref is None:
+            rows = self._sparse_rows()
             ops = []
             if isinstance(self.field, PrimeField):
-                reduced, pivots = kernel.rref_mod(self.data, self.ncols, self.field.p, ops=ops)
+                reduced, pivots = kernel.rref_mod(rows, self.ncols, self.field.p, ops=ops)
             else:
-                reduced, pivots = kernel.rref_rational(self.data, self.ncols, ops=ops)
-            self._rref = (Matrix(self.field, reduced, self.ncols), pivots)
+                reduced, pivots = kernel.rref_rational(rows, self.ncols, ops=ops)
+            self._rref = (Matrix.sparse(self.field, reduced, self.ncols), pivots)
             self._ops = ops
         return self._rref
 
@@ -160,29 +196,21 @@ class Matrix:
     def kernel_basis(self):
         """Canonical null-space basis: one vector per free column, that
         column's entry set to one, pivot entries back-filled from the
-        nonzero free entries of each pivot row."""
+        entries of each pivot row, which outside its pivot lie in free
+        columns only."""
         reduced, pivots = self.rref()
         F = self.field
-        zero, ncols = F.zero, self.ncols
-        free = sorted(set(range(ncols)).difference(pivots))
-        basis = []
-        for j in free:
-            v = [zero] * ncols
-            v[j] = F.one
-            basis.append(v)
-        if not free:
-            return basis
-        take = itemgetter(*free)  # one row's free entries, gathered at C level
-        zeros = repeat(zero)
-        prime = isinstance(F, PrimeField)
-        minus = F.p.__sub__ if prime else neg  # F.neg, without its Python frame
-        for row, pc in zip(reduced.data, pivots):
-            coefs = take(row) if len(free) > 1 else (row[free[0]],)
-            # an int's truth value is read at C level, a Fraction's is not
-            for v, coef in compress(zip(basis, coefs), coefs if prime else map(is_not, coefs, zeros)):
-                if coef:
-                    v[pc] = minus(coef)
-        return basis
+        zero, one, ncols = F.zero, F.one, self.ncols
+        by_column = {}
+        for j in sorted(set(range(ncols)).difference(pivots)):
+            v = by_column[j] = [zero] * ncols
+            v[j] = one
+        neg = F.neg
+        for row, pc in zip(reduced.rows, pivots):
+            for j, coef in row:
+                if j != pc:
+                    by_column[j][pc] = neg(coef)
+        return list(by_column.values())
 
 
 def reduced_column(a: Matrix, b: list):

@@ -41,12 +41,13 @@ def test_every_traced_name_exists(layers):
 
 
 def test_kernel_entry_points_take_positional_arguments():
-    q_rows = [[Fraction(2), Fraction(1)], [Fraction(4), Fraction(2)]]
+    # rows are lists of (column, nonzero value) pairs in column order
+    q_rows = [[(0, Fraction(2)), (1, Fraction(1))], [(0, Fraction(4)), (1, Fraction(2))]]
     rows, pivots = _backend.kernel.rref_rational(q_rows, 2)
-    assert rows == [[1, Fraction(1, 2)], [0, 0]] and pivots == (0,)
-    out = _backend.kernel.rref_mod([[2, 1], [0, 3]], 2, 13)
+    assert rows == [[(0, 1), (1, Fraction(1, 2))], []] and pivots == (0,)
+    out = _backend.kernel.rref_mod([[(0, 2), (1, 1)], [(1, 3)]], 2, 13)
     assert isinstance(out, tuple) and len(out) == 2
-    assert out == ([[1, 0], [0, 1]], (0, 1))
+    assert out == ([[(0, 1)], [(1, 1)]], (0, 1))
 
 
 def test_matrix_keeps_its_echelon_cache_in_rref_slot():
@@ -101,3 +102,37 @@ def test_traced_kernel_inputs_replay_to_the_traced_pivots(layers):
                 _, got = _kernel_py.rref_mod(fresh, ncols, p)
             assert got == pivots
             assert fresh == rows
+
+
+def test_tracer_counts_what_the_sparse_differentials_hold(layers):
+    """The per-layer metrics of ``--trace 1`` come from this tracer: the
+    nonzeros it counts on each assembled d_n (through the dense view) must
+    be the true ones, and the kernel, kernel-basis and transpose spans must
+    be seen, so a tracer that no longer fits the library fails here."""
+    cochain = importlib.import_module("moddef.cochain")
+    _, mod = jordan_module(4, 3)
+    _, mod_c = fixture_c()
+    f = Cochain(mod_c, 1, {(0,): frac_mat([[1, 0], [0, 0]])})
+    tracer = layers.Tracer(moddef, _backend.kernel)
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        for degree in range(4):
+            cochain.cohomology(mod, degree)
+        cochain.cokernel_certificate(f)
+    finally:
+        tracer.uninstall()
+    # cohomology in degree n assembles d_n, then d_{n-1}; the certificate d_0
+    calls = [(mod, 0), (mod, 1), (mod, 0), (mod, 2), (mod, 1), (mod, 3), (mod, 2), (mod_c, 0)]
+    nnz = 0
+    for module, degree in calls:
+        d = module._differentials[degree]
+        true_nnz = sum(1 for row in d.data for v in row if v)
+        assert true_nnz == sum(len(row) for row in d.rows)
+        nnz += true_nnz
+    counts = tracer.counts
+    assert counts["cochain.assemble_calls"] == len(calls)
+    assert counts["cochain.assemble_nnz"] == nnz > 0
+    assert counts["kernel.calls"] > 0 and counts["kernel.cells"] > 0
+    names = {span[0] for span in tracer.spans}
+    assert {"linalg.kernel_basis", "linalg.transpose", "kernel.eliminate_q"} <= names

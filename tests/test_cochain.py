@@ -156,6 +156,72 @@ def test_flatten_round_trip():
         assert Cochain.unflatten(mod, degree, f.flatten()) == f
 
 
+def test_assembled_rows_hold_nonzeros_in_column_order():
+    """d_n is assembled into sparse rows: (column, value) pairs with
+    strictly increasing columns and only nonzero values, over Q and over
+    small and large primes. The unit acts as the identity, so in d_0 its
+    a.f - f.a cancels in every cell and its rows come out empty. Read
+    through the dense view, every column equals the oracle's differential
+    of that unit coordinate."""
+    rng = random.Random(43)
+    pairs = [random_pair(rng) for _ in range(3)]
+    pairs += [jordan_module(3, 2), change_basis(*jordan_module(4, 3), rng)]
+    for p in (None, 13, 10007):
+        for alg, mod in pairs:
+            if p is not None:
+                alg, mod = over_prime(alg, mod, p)
+            m2 = mod.dim * mod.dim
+            for degree in range(3):
+                d = differential_matrix(mod, degree)
+                assert len(d.rows) == d.nrows
+                for row in d.rows:
+                    cols = [j for j, _ in row]
+                    assert all(a < b for a, b in zip(cols, cols[1:]))
+                    assert all(0 <= j < d.ncols for j in cols)
+                    assert all(v and (p is None or 0 < v < p) for _, v in row)
+                if degree == 2 and d.ncols > 64:
+                    continue
+                columns = list(zip(*d.data))
+                for j in range(d.ncols):
+                    unit = [mod.field.zero] * d.ncols
+                    unit[j] = mod.field.one
+                    f = Cochain.unflatten(mod, degree, unit)
+                    assert list(columns[j]) == reference_differential(f).flatten()
+            if alg.unit == [mod.field.one] + [mod.field.zero] * (alg.dim - 1):
+                assert differential_matrix(mod, 0).rows[:m2] == [[] for _ in range(m2)]
+
+
+def test_library_paths_never_densify_a_sparse_matrix(monkeypatch):
+    """Assembly, elimination, kernel bases, solves, certificates and
+    integration all stay on sparse rows: the dense view of a differential
+    (or of any reduced form or transpose) is never built."""
+    builds = []
+    dense_view = Matrix.__getattr__
+
+    def counted(self, name):
+        if name == "data":
+            builds.append((self.nrows, self.ncols))
+        return dense_view(self, name)
+
+    monkeypatch.setattr(Matrix, "__getattr__", counted)
+    for _, mod in (fixture_a(), fixture_b(), fixture_c(), jordan_module(4, 3)):
+        F = mod.field
+        for degree in range(4):
+            cohomology(mod, degree)
+        rigidity_check(mod)
+        reps = cohomology(mod, 1).representatives
+        if reps:
+            integrate(reps[0], 4)
+        one = Matrix.identity(F, mod.dim)
+        for degree in (1, 2):
+            lone = Cochain(mod, degree, {(0,) * degree: one})
+            bound = differential(Cochain(mod, degree - 1, {(0,) * (degree - 1): one}))
+            for f in (lone, bound):
+                coboundary_witness(f)
+                cokernel_certificate(f)
+    assert builds == []
+
+
 def test_degree_guardrail(monkeypatch):
     # the bound is on the size of d_n, not its degree
     _, mod = fixture_a()

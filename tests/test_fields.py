@@ -76,3 +76,18 @@ def test_field_from_name():
         field_from_name("R")
     with pytest.raises(InputError):
         field_from_name("F10")
+
+
+@pytest.mark.parametrize("p", [13, 10007, 2**61 - 1])
+def test_prime_parse_matches_fermat_inverse(p):
+    """Residues equal num * den^(p-2) mod p, the Fermat form of the inverse,
+    for den = 1, den = 1 (mod p), other denominators and negative numerators."""
+    F = PrimeField(p)
+    dens = [1, p + 1, 2 * p + 1, 2, 3, 7, p - 1, 2 * p - 1, 10**30 + 1]
+    nums = [0, 1, -1, 5, -5, p, -p - 3, 10**25, -(10**25)]
+    for den in dens:
+        if den % p == 0:
+            continue
+        for num in nums:
+            text = f"{num}/{den}" if den != 1 else str(num)
+            assert F.parse(text) == num * pow(den, p - 2, p) % p, text

@@ -274,11 +274,11 @@ def test_kernel_leaves_its_input_rows_unchanged():
     """The kernel reads its argument rows and builds its output rows fresh;
     Matrix.rref hands it the matrix's own rows without a copy."""
     q_rows = [
-        [Fraction(0), Fraction(2), Fraction(1, 3)],
-        [0, Fraction(4), Fraction(0)],
-        [Fraction(5), QQ.zero, 7],
+        [(1, Fraction(2)), (2, Fraction(1, 3))],
+        [(1, Fraction(4))],
+        [(0, Fraction(5)), (2, 7)],
     ]
-    f_rows = [[0, 3, 5], [7, 0, 2], [7, 3, 8]]
+    f_rows = [[(1, 3), (2, 5)], [(0, 7), (2, 2)], [(0, 7), (1, 3), (2, 8)]]
     for rows, eliminate in (
         (q_rows, lambda rows, ops: kernel.rref_rational(rows, 3, ops)),
         (f_rows, lambda rows, ops: kernel.rref_mod(rows, 3, 13, ops)),
@@ -294,6 +294,11 @@ def test_kernel_leaves_its_input_rows_unchanged():
     m.rref()
     m.kernel_basis()
     assert m.data == before
+    t = m.transpose()
+    before = [row[:] for row in t.rows]
+    t.rref()
+    t.kernel_basis()
+    assert t.rows == before and t.rref()[0].rows is not t.rows
 
 
 @st.composite
