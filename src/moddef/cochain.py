@@ -27,11 +27,13 @@ from itertools import product
 
 from .algebra import Module
 from .errors import InputError, ResourceError
-from .linalg import Matrix, reduced_column, solve
+from .fields import PrimeField
+from .linalg import Matrix, solve
 
 # Largest differential matrix (rows x cols) that differential_matrix will
 # build: 2**24 cells. The matrix is sparse, but the cells bound the work of
-# eliminating it and of the dense vectors its kernel basis is made of.
+# eliminating it and of the dense kernel vectors cohomology reads from it
+# (a certificate builds one dense vector only).
 MAX_DIFFERENTIAL_CELLS = 2**24
 
 
@@ -292,16 +294,34 @@ def cokernel_certificate(f: Cochain):
     """When f has no coboundary witness, a functional annihilating the
     image of the differential but not f: returns (vector y, y . f) with
     y orthogonal to every column of the differential matrix and pairing
-    nonzero. Returns None when a witness exists."""
+    nonzero. Returns None when a witness exists.
+
+    y is the canonical kernel vector of the transposed differential for
+    the first free column j whose pairing with b = f.flatten() is nonzero:
+    b[j] - sum_r R[r][j] b[pc_r] over its reduced rows R and their pivots
+    pc_r. One pass over R gives every pairing (a pivot column's own entry
+    is 1, so its pairing cancels to zero); only the emitted y is dense."""
+    if f.degree < 1:
+        raise InputError("cokernel certificates exist in degree >= 1 only")
     d = differential_matrix(f.module, f.degree - 1)
-    b = f.flatten()
+    reduced, pivots = d.transpose().rref()
     F = f.module.field
-    for y in d.transpose().kernel_basis():
-        s = F.zero
-        for yv, bv in zip(y, b):
-            if yv and bv:
-                s = F.add(s, F.mul(yv, bv))
+    b = f.flatten()
+    pairing = b[:]
+    for row, pc in zip(reduced.rows, pivots):
+        if b[pc]:
+            for j, coef in row:
+                pairing[j] -= coef * b[pc]
+    for j, s in enumerate(pairing):
+        if isinstance(F, PrimeField):
+            s %= F.p
         if s:
+            y = [F.zero] * len(b)
+            y[j] = F.one
+            for row, pc in zip(reduced.rows, pivots):
+                for i, coef in row:
+                    if i == j:
+                        y[pc] = F.neg(coef)
             return y, s
     return None
 
@@ -316,30 +336,35 @@ class CohomologyReport:
 
 
 def cohomology(module, degree) -> CohomologyReport:
-    """Dimensions by rank-nullity on the differential matrices, plus a
-    canonical list of representative cocycles spanning a complement of the
-    coboundaries inside the cocycles.
+    """Dimensions by rank-nullity, plus canonical representative cocycles
+    spanning a complement of the coboundaries: the kernel-basis vectors of
+    d_n whose columns become pivots after the coboundary columns when
+    [d_{n-1} | kernel] is eliminated, so the output is reproducible byte
+    for byte.
 
-    The representatives are the canonical kernel-basis vectors whose
-    columns become pivots after the coboundary columns, so the output is
-    reproducible byte for byte. Gauss-Jordan on [d_{n-1} | kernel] would
-    run d_{n-1}'s own row operations first, so the kernel vectors are
-    replayed through d_{n-1}'s factorisation and only the rows below its
-    rank are eliminated."""
+    The module must be valid (every command validates it first), so
+    d_n d_{n-1} = 0 and the coboundaries are cocycles. A cocycle is fixed
+    by its coordinates in the free columns F of d_n, each pivot coordinate
+    being minus its pivot row against them, so restricting to F is
+    injective on cocycles and sends the kernel vectors to unit vectors. A
+    kernel vector is thus skipped exactly when its column is the last
+    nonzero F-coordinate of a coboundary: a pivot of the coboundaries
+    restricted to F, numbered in reverse, eliminated once. d_{n-1} is read,
+    never factorised."""
     if degree < 0:
         raise InputError("degree must be >= 0")
-    kernel = differential_matrix(module, degree).kernel_basis()
-    dim_z = len(kernel)
-    d_prev = None if degree == 0 else differential_matrix(module, degree - 1)
-    dim_b = 0 if d_prev is None else d_prev.rank()
-    if dim_b == 0:
-        reps = kernel  # no coboundaries: every cocycle is a representative
-    elif dim_z == dim_b:
-        reps = []
-    else:
-        below = [reduced_column(d_prev, v)[0][dim_b:] for v in kernel]
-        rows = [list(r) for r in zip(*below) if any(r)]
-        _, pivots = Matrix(module.field, rows, dim_z).rref()
-        reps = [kernel[p] for p in pivots]
+    d = differential_matrix(module, degree)
+    kernel = d.kernel_basis()
+    reps = kernel
+    if degree > 0:
+        prev = differential_matrix(module, degree - 1)
+        pivots = set(d.rref()[1])
+        free = [j for j in range(d.ncols) if j not in pivots][::-1]
+        cols = [[] for _ in range(prev.ncols)]
+        for k, j in enumerate(free):  # F reversed: each row's columns increase
+            for c, v in prev.rows[j]:
+                cols[c].append((k, v))
+        last = set(Matrix.sparse(module.field, cols, len(free)).rref()[1])
+        reps = [v for k, v in enumerate(reversed(kernel)) if k not in last][::-1]
     reps = [Cochain.unflatten(module, degree, v) for v in reps]
-    return CohomologyReport(degree, dim_z, dim_b, dim_z - dim_b, reps)
+    return CohomologyReport(degree, len(kernel), len(kernel) - len(reps), len(reps), reps)

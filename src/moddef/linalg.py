@@ -213,25 +213,18 @@ class Matrix:
         return list(by_column.values())
 
 
-def reduced_column(a: Matrix, b: list):
-    """(y, pivots): a's pivot columns, and b after a's recorded row
-    operations, i.e. the last column of the reduced form of [a | b]. a is
-    factorised once; each call replays its row operations on a copy of b."""
+def solve(a: Matrix, b: list):
+    """The canonical solution of a x = b (every free variable zero), or
+    None when b is outside the column span of a. Replaying a's recorded
+    row operations on b gives the last column of rref([a | b])."""
+    if len(b) != a.nrows:
+        raise InputError(f"right-hand side length {len(b)} != row count {a.nrows}")
     F = a.field
     _, pivots = a.rref()
     y = kernel.replay(a._ops, list(b), F.p if isinstance(F, PrimeField) else None)
-    return y, pivots
-
-
-def solve(a: Matrix, b: list):
-    """The canonical solution of a x = b (every free variable zero), or
-    None when b is outside the column span of a."""
-    if len(b) != a.nrows:
-        raise InputError(f"right-hand side length {len(b)} != row count {a.nrows}")
-    y, pivots = reduced_column(a, b)
     if any(y[len(pivots):]):
         return None
-    x = [a.field.zero] * a.ncols
+    x = [F.zero] * a.ncols
     for r, pc in enumerate(pivots):
         x[pc] = y[r]
     return x

@@ -281,6 +281,31 @@ def reference_cohomology(module, degree) -> CohomologyReport:
 
 
 # ---------------------------------------------------------------------------
+# commutant oracle for degree 0
+
+
+def reference_h0_dim(module):
+    """dim H^0 as the dimension of the commutant {phi : phi A_i = A_i phi}:
+    the d_r d_m^2 equations sum_k phi[r][k] A_i[k][c] - A_i[r][k] phi[k][c]
+    = 0 in the d_m^2 unknowns phi[r][c] (row-major), written out entry by
+    entry from the action matrices and ranked with oracle_rref."""
+    F = module.field
+    d_m = module.dim
+    rows = []
+    for act in module.action:
+        a = act.data
+        for r in range(d_m):
+            for c in range(d_m):
+                eq = [F.zero] * (d_m * d_m)
+                for k in range(d_m):
+                    eq[r * d_m + k] = F.add(eq[r * d_m + k], a[k][c])
+                    eq[k * d_m + c] = F.sub(eq[k * d_m + c], a[r][k])
+                rows.append(eq)
+    _, pivots = oracle_rref(Matrix(F, rows, d_m * d_m))
+    return d_m * d_m - len(pivots)
+
+
+# ---------------------------------------------------------------------------
 # matrices and scalars
 
 

@@ -18,6 +18,7 @@ from helpers import (
     random_pair,
     reference_cohomology,
     reference_differential,
+    reference_h0_dim,
 )
 from moddef import _backend, cochain
 from moddef.algebra import Module
@@ -375,10 +376,60 @@ def test_witness_and_certificate_share_an_unchanged_cached_differential(seed, de
     assert fresh is not d and fresh == d
 
 
+def _canonical_certificate(f):
+    """The first canonical kernel vector of the transposed differential
+    whose pairing with f is nonzero, from the whole kernel basis."""
+    F = f.module.field
+    d = differential_matrix(f.module, f.degree - 1)
+    for y in d.transpose().kernel_basis():
+        s = F.zero
+        for yv, bv in zip(y, f.flatten()):
+            s = F.add(s, F.mul(yv, bv))
+        if s:
+            return y, s
+    return None
+
+
+def test_certificate_builds_only_the_vector_it_emits(monkeypatch):
+    """The certificate reads its pairings off the reduced transpose and
+    never asks for the kernel basis, yet emits the same (y, pairing) as
+    the first kernel-basis vector that pairs nonzero, over Q and F_13."""
+    rng = random.Random(53)
+    cases = []
+    for _ in range(6):
+        alg, mod = random_pair(rng, max_dim_m=2)
+        for m in (mod, over_prime(alg, mod, 13)[1]):
+            for degree in (1, 2):
+                f = random_cochain(mod, degree, rng)
+                if m is not mod:
+                    F = m.field
+                    f = Cochain(
+                        m,
+                        degree,
+                        {
+                            k: Matrix(F, [[F.parse(str(x)) for x in row] for row in v.data])
+                            for k, v in f.entries.items()
+                        },
+                    )
+                one = {(0,) * (degree - 1): m.identity_operator()}
+                bound = differential(Cochain(m, degree - 1, one))
+                cases += [(f, _canonical_certificate(f)), (bound, None)]
+    assert sum(want is not None for _, want in cases) >= 12
+
+    def refuse(self):
+        raise AssertionError("the certificate built the whole kernel basis")
+
+    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    for f, want in cases:
+        assert cokernel_certificate(f) == want
+
+
 def test_witness_needs_positive_degree():
     _, mod = fixture_a()
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="degree >= 1 only"):
         coboundary_witness(Cochain.zero(mod, 0))
+    with pytest.raises(InputError, match="degree >= 1 only"):
+        cokernel_certificate(Cochain.zero(mod, 0))
 
 
 # --- cohomology ----------------------------------------------------------------
@@ -475,14 +526,40 @@ def test_dimensions_are_basis_independent():
 @settings(max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.sampled_from((None, 13, 10007)))
 def test_cohomology_matches_stacked_elimination_oracle(seed, degree, p):
-    """Replaying d_{n-1}'s factorisation on the kernel vectors gives the
-    same report, representatives included, as eliminating
-    [d_{n-1} | kernel] afresh. Degree 2 keeps to module dimension 2: the
-    stacked oracle is slow on 3-dimensional modules in a random basis."""
+    """Reading the coboundaries in the free columns of d_n gives the same
+    report, representatives included, as eliminating [d_{n-1} | kernel]
+    afresh. Degree 2 keeps to module dimension 2: the stacked oracle is
+    slow on 3-dimensional modules in a random basis."""
     alg, mod = random_pair(random.Random(seed), max_dim_m=3 if degree < 2 else 2)
     if p is not None:
         alg, mod = over_prime(alg, mod, p)
     assert cohomology(mod, degree) == reference_cohomology(mod, degree)
+
+
+LADDER_TOPS = [(3, 3, 3), (4, 3, 3), (4, 4, 2)]
+
+
+@pytest.mark.parametrize("p", [None, 10007], ids=["Q", "F10007"])
+@pytest.mark.parametrize(
+    "n, d, degree", LADDER_TOPS, ids=[f"J{n}{d}-H{k}" for n, d, k in LADDER_TOPS]
+)
+def test_ladder_top_degree_matches_stacked_elimination_oracle(n, d, degree, p):
+    """The natural-basis ladder pairs at the top degree the benchmark asks
+    of them, against eliminating [d_{n-1} | kernel] afresh."""
+    alg, mod = jordan_module(n, d)
+    if p is not None:
+        alg, mod = over_prime(alg, mod, p)
+    assert cohomology(mod, degree) == reference_cohomology(mod, degree)
+
+
+def test_cohomology_never_factorises_the_lower_differential():
+    """Degree-1 cohomology (the rigidity check) assembles d_0 and reads its
+    rows, but only d_1 and the restricted coboundary system are
+    eliminated."""
+    _, mod = jordan_module(4, 3)
+    assert cohomology(mod, 1).dim_cohomology == 1
+    assert mod._differentials[0]._rref is None
+    assert mod._differentials[1]._rref is not None
 
 
 def _partitions(total, largest):
@@ -522,6 +599,28 @@ def test_jordan_sums_have_closed_form_cohomology(n, sizes):
         top = max(k for k in range(4) if n ** (2 * k + 1) * m.dim**4 <= budget)
         assert [cohomology(m, k).dim_cohomology for k in range(top + 1)] == [h0] + [hi] * top
         assert rigidity_check(m).certified == all(a == n for a in sizes)
+
+
+@pytest.mark.parametrize(
+    "n, sizes", JORDAN_SUMS, ids=[f"n{n}-" + "+".join(map(str, s)) for n, s in JORDAN_SUMS]
+)
+def test_degree_zero_matches_the_commutant_oracle(n, sizes):
+    """dim H^0 is the dimension of the operators commuting with the action,
+    counted from the commutation equations written out entry by entry, on
+    every Jordan sum over Q and over F_10007."""
+    alg, mod = jordan_sum(n, sizes)
+    for m in (mod, over_prime(alg, mod, 10007)[1]):
+        assert cohomology(m, 0).dim_cohomology == reference_h0_dim(m)
+
+
+@pytest.mark.parametrize("p", [None, 10007], ids=["Q", "F10007"])
+def test_degree_zero_matches_the_commutant_oracle_in_random_bases(p):
+    rng = random.Random(59)
+    for _ in range(12):
+        alg, mod = random_pair(rng)
+        if p is not None:
+            alg, mod = over_prime(alg, mod, p)
+        assert cohomology(mod, 0).dim_cohomology == reference_h0_dim(mod)
 
 
 RANK_PAIRS = [("A", fixture_a()), ("B", fixture_b()), ("C", fixture_c())] + [
