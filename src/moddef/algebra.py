@@ -133,12 +133,12 @@ class Module:
 def _expand(field, dim, terms):
     """Coordinates of the sum of c * v over (c, v) in terms, in one pass;
     each v is given by (k, x) pairs, zero x skipped."""
-    add, mul = field.add, field.mul
+    reduce = field.reduce
     out = [field.zero] * dim
     for c, vec in terms:
         for k, x in vec:
             if x:
-                out[k] = add(out[k], mul(c, x))
+                out[k] = reduce(out[k] + c * x)
     return out
 
 

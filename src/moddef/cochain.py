@@ -27,13 +27,12 @@ from itertools import product
 
 from .algebra import Module
 from .errors import InputError, ResourceError
-from .fields import PrimeField
 from .linalg import Matrix, solve
 
 # Largest differential matrix (rows x cols) that differential_matrix will
 # build: 2**24 cells. The matrix is sparse, but the cells bound the work of
-# eliminating it and of the dense kernel vectors cohomology reads from it
-# (a certificate builds one dense vector only).
+# eliminating it and of the dense kernel vectors that cohomology and the
+# certificate emit from it.
 MAX_DIFFERENTIAL_CELLS = 2**24
 
 
@@ -170,7 +169,7 @@ def _column(module, key, r, c):
     """The image under the differential of the unit coordinate (key, r, c):
     pairs (flat degree-(n+1) coordinate, value); a coordinate may repeat.
     Tuple indices are computed, not built."""
-    F = module.field
+    reduce = module.field.reduce
     d_r, d_m = module.algebra.dim, module.dim
     m2 = d_m * d_m
     n = len(key)
@@ -185,7 +184,7 @@ def _column(module, key, r, c):
             if act.data[j][r]:
                 yield head + j * d_m, act.data[j][r]
             if v:
-                yield tail + j, F.neg(v) if last_negative else v
+                yield tail + j, reduce(-v) if last_negative else v
     # (-1)^i f(..., k_{i-1} k_i, ...), where e_a e_b has a k_{i-1} component
     w = d_r**n
     for i in range(1, n + 1):
@@ -193,12 +192,12 @@ def _column(module, key, r, c):
         high, low = divmod(t, w * d_r)
         for a, b, coef in module.algebra.product_support[key[i - 1]]:
             idx = ((high * d_r + a) * d_r + b) * w + low % w
-            yield idx * m2 + r * d_m + c, F.neg(coef) if i % 2 else coef
+            yield idx * m2 + r * d_m + c, reduce(-coef) if i % 2 else coef
 
 
 def differential(f: Cochain) -> Cochain:
     """Degree n -> n+1, summed over the nonzero coordinates of f into
-    sparse output blocks."""
+    sparse output blocks, each reduced once when it becomes a matrix."""
     mod = f.module
     F = mod.field
     d_r, d_m = mod.algebra.dim, mod.dim
@@ -212,11 +211,12 @@ def differential(f: Cochain) -> Cochain:
                 for idx, v in _column(mod, key, r, c):
                     t, rem = divmod(idx, d_m * d_m)
                     if t not in blocks:
-                        blocks[t] = Matrix.zeros(F, d_m, d_m)
-                    cells = blocks[t].data[rem // d_m]
-                    cells[rem % d_m] = F.add(cells[rem % d_m], F.mul(x, v))
+                        blocks[t] = [[F.zero] * d_m for _ in range(d_m)]
+                    blocks[t][rem // d_m][rem % d_m] += x * v
     entries = {
-        tuple(t // d_r ** (n - 1 - j) % d_r for j in range(n)): block
+        tuple(t // d_r ** (n - 1 - j) % d_r for j in range(n)): Matrix(
+            F, [list(map(F.reduce, row)) for row in block], d_m
+        )
         for t, block in blocks.items()
     }
     return Cochain(mod, n, entries)
@@ -232,8 +232,8 @@ def differential_matrix(module, degree) -> Matrix:
     Refuses, before assembling, a matrix of more than
     MAX_DIFFERENTIAL_CELLS cells.
 
-    Each column is scattered from _column into one dict per row; field
-    addition runs only where two terms meet in a cell, and a sum that
+    Each column is scattered from _column into one dict per row; a sum is
+    formed and reduced only where two terms meet in a cell, and a sum that
     cancels is deleted, so every row holds nonzeros only. Columns are
     visited in order, so each dict already lists its columns in increasing
     order.
@@ -256,7 +256,7 @@ def differential_matrix(module, degree) -> Matrix:
     if cached is not None:
         return cached
     rows = [{} for _ in range(nrows)]
-    add = module.field.add
+    reduce = module.field.reduce
     col = 0
     for key in product(range(d_r), repeat=degree):
         for r in range(d_m):
@@ -267,7 +267,7 @@ def differential_matrix(module, degree) -> Matrix:
                     if old is None:
                         row[col] = v
                     else:
-                        v = add(old, v)
+                        v = reduce(old + v)
                         if v:
                             row[col] = v
                         else:
@@ -313,15 +313,14 @@ def cokernel_certificate(f: Cochain):
             for j, coef in row:
                 pairing[j] -= coef * b[pc]
     for j, s in enumerate(pairing):
-        if isinstance(F, PrimeField):
-            s %= F.p
+        s = F.reduce(s)
         if s:
             y = [F.zero] * len(b)
             y[j] = F.one
             for row, pc in zip(reduced.rows, pivots):
                 for i, coef in row:
                     if i == j:
-                        y[pc] = F.neg(coef)
+                        y[pc] = F.reduce(-coef)
             return y, s
     return None
 
@@ -350,21 +349,20 @@ def cohomology(module, degree) -> CohomologyReport:
     kernel vector is thus skipped exactly when its column is the last
     nonzero F-coordinate of a coboundary: a pivot of the coboundaries
     restricted to F, numbered in reverse, eliminated once. d_{n-1} is read,
-    never factorised."""
+    never factorised, and only the emitted kernel vectors are built."""
     if degree < 0:
         raise InputError("degree must be >= 0")
     d = differential_matrix(module, degree)
-    kernel = d.kernel_basis()
-    reps = kernel
+    pivots = set(d.rref()[1])
+    free = [j for j in range(d.ncols) if j not in pivots]
+    emitted = free
     if degree > 0:
         prev = differential_matrix(module, degree - 1)
-        pivots = set(d.rref()[1])
-        free = [j for j in range(d.ncols) if j not in pivots][::-1]
         cols = [[] for _ in range(prev.ncols)]
-        for k, j in enumerate(free):  # F reversed: each row's columns increase
+        for k, j in enumerate(reversed(free)):  # F reversed: each row's columns increase
             for c, v in prev.rows[j]:
                 cols[c].append((k, v))
         last = set(Matrix.sparse(module.field, cols, len(free)).rref()[1])
-        reps = [v for k, v in enumerate(reversed(kernel)) if k not in last][::-1]
-    reps = [Cochain.unflatten(module, degree, v) for v in reps]
-    return CohomologyReport(degree, len(kernel), len(kernel) - len(reps), len(reps), reps)
+        emitted = [j for k, j in enumerate(reversed(free)) if k not in last][::-1]
+    reps = [Cochain.unflatten(module, degree, v) for v in d.kernel_basis(emitted)]
+    return CohomologyReport(degree, len(free), len(free) - len(reps), len(reps), reps)

@@ -31,7 +31,6 @@ from .cochain import (
     is_cocycle,
 )
 from .errors import InputError
-from .fields import PrimeField
 from .linalg import Matrix
 
 
@@ -39,7 +38,7 @@ def _series_term(left, right, n):
     """Term n of the product of two truncated operator series given as
     term lists: the sum of left[i] @ right[n - i] over the indices both
     lists hold. Each entry is accumulated in place with native + and *,
-    skipping zero entries; over F_p it is reduced once, at the end."""
+    skipping zero entries, and reduced once, at the end."""
     F = left[0].field
     ncols = right[0].ncols
     out = [[F.zero] * ncols for _ in range(left[0].nrows)]
@@ -51,9 +50,7 @@ def _series_term(left, right, n):
                     for j, y in enumerate(brow):
                         if y:
                             orow[j] += x * y
-    if isinstance(F, PrimeField):
-        out = [[x % F.p for x in row] for row in out]
-    return Matrix(F, out, ncols)
+    return Matrix(F, [list(map(F.reduce, row)) for row in out], ncols)
 
 
 class ApproximateDeformation:

@@ -8,6 +8,13 @@ accepted. A field is fixed per computation and never mixed.
 The text form of a scalar is ``p/q`` with the denominator omitted when it
 is 1; prime-field scalars print as decimal residues. Emitted text is
 canonical, so parse/print round-trips exactly.
+
+Arithmetic is Python's own ``+``, ``-`` and ``*`` on those scalars. A
+field knows only what the operators do not: its zero and one, how to
+parse and format a scalar, its modulus ``p`` (None over Q), and
+``reduce``, which brings a result of the operators back to the canonical
+scalar (the identity over Q, ``x % p`` over F_p). Callers reduce once,
+where a value is stored, compared or emitted.
 """
 
 import re
@@ -69,18 +76,10 @@ class Rationals:
     name = "Q"
     zero = Fraction(0)
     one = Fraction(1)
+    p = None
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def reduce(self, a):
+        return a
 
     def parse(self, text: str):
         num, den = _split(text)
@@ -112,17 +111,8 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
+    def reduce(self, a):
+        return a % self.p
 
     def parse(self, text: str):
         num, den = _split(text)

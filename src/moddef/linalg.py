@@ -18,7 +18,6 @@ only when something reads ``data``.
 
 from ._backend import kernel
 from .errors import InputError
-from .fields import PrimeField
 
 
 class Matrix:
@@ -103,29 +102,29 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        add = self.field.add
+        reduce = self.field.reduce
         return Matrix(
             self.field,
-            [[add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            [[reduce(a + b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
             self.ncols,
         )
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        sub = self.field.sub
+        reduce = self.field.reduce
         return Matrix(
             self.field,
-            [[sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            [[reduce(a - b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
             self.ncols,
         )
 
     def __neg__(self):
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in row] for row in self.data], self.ncols)
+        reduce = self.field.reduce
+        return Matrix(self.field, [[reduce(-a) for a in row] for row in self.data], self.ncols)
 
     def scale(self, c):
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, a) for a in row] for row in self.data], self.ncols)
+        reduce = self.field.reduce
+        return Matrix(self.field, [[reduce(c * a) for a in row] for row in self.data], self.ncols)
 
     def __matmul__(self, other):
         if self.field != other.field:
@@ -135,7 +134,6 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         F = self.field
-        add, mul = F.add, F.mul
         out = [[F.zero] * other.ncols for _ in range(self.nrows)]
         for arow, orow in zip(self.data, out):
             for a, brow in zip(arow, other.data):
@@ -143,22 +141,8 @@ class Matrix:
                     continue
                 for j, b in enumerate(brow):
                     if b:
-                        orow[j] = add(orow[j], mul(a, b))
-        return Matrix(F, out, other.ncols)
-
-    def matvec(self, v):
-        if len(v) != self.ncols:
-            raise InputError("vector length does not match column count")
-        F = self.field
-        add, mul = F.add, F.mul
-        out = []
-        for row in self.data:
-            s = F.zero
-            for a, x in zip(row, v):
-                if a and x:
-                    s = add(s, mul(a, x))
-            out.append(s)
-        return out
+                        orow[j] += a * b
+        return Matrix(F, [list(map(F.reduce, row)) for row in out], other.ncols)
 
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
@@ -182,10 +166,11 @@ class Matrix:
         if self._rref is None:
             rows = self._sparse_rows()
             ops = []
-            if isinstance(self.field, PrimeField):
-                reduced, pivots = kernel.rref_mod(rows, self.ncols, self.field.p, ops=ops)
-            else:
+            p = self.field.p
+            if p is None:
                 reduced, pivots = kernel.rref_rational(rows, self.ncols, ops=ops)
+            else:
+                reduced, pivots = kernel.rref_mod(rows, self.ncols, p, ops=ops)
             self._rref = (Matrix.sparse(self.field, reduced, self.ncols), pivots)
             self._ops = ops
         return self._rref
@@ -193,23 +178,26 @@ class Matrix:
     def rank(self):
         return len(self.rref()[1])
 
-    def kernel_basis(self):
-        """Canonical null-space basis: one vector per free column, that
+    def kernel_basis(self, columns=None):
+        """Canonical null-space vectors, one per free column in columns
+        (every free column, in increasing order, by default): that
         column's entry set to one, pivot entries back-filled from the
         entries of each pivot row, which outside its pivot lie in free
         columns only."""
         reduced, pivots = self.rref()
         F = self.field
         zero, one, ncols = F.zero, F.one, self.ncols
+        if columns is None:
+            columns = sorted(set(range(ncols)).difference(pivots))
         by_column = {}
-        for j in sorted(set(range(ncols)).difference(pivots)):
+        for j in columns:
             v = by_column[j] = [zero] * ncols
             v[j] = one
-        neg = F.neg
         for row, pc in zip(reduced.rows, pivots):
             for j, coef in row:
-                if j != pc:
-                    by_column[j][pc] = neg(coef)
+                v = by_column.get(j)  # None for the pivot and unbuilt columns
+                if v is not None:
+                    v[pc] = F.reduce(-coef)
         return list(by_column.values())
 
 
@@ -219,12 +207,11 @@ def solve(a: Matrix, b: list):
     row operations on b gives the last column of rref([a | b])."""
     if len(b) != a.nrows:
         raise InputError(f"right-hand side length {len(b)} != row count {a.nrows}")
-    F = a.field
     _, pivots = a.rref()
-    y = kernel.replay(a._ops, list(b), F.p if isinstance(F, PrimeField) else None)
+    y = kernel.replay(a._ops, list(b), a.field.p)
     if any(y[len(pivots):]):
         return None
-    x = [F.zero] * a.ncols
+    x = [a.field.zero] * a.ncols
     for r, pc in enumerate(pivots):
         x[pc] = y[r]
     return x

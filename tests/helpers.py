@@ -129,7 +129,7 @@ def reference_differential(f: Cochain) -> Cochain:
         for i in range(1, n + 1):
             head, rest = key[: i - 1], key[i:]
             for a, b, coef in alg.product_support[key[i - 1]]:
-                add_to(head + (a, b) + rest, mat.scale(F.neg(coef) if i % 2 else coef))
+                add_to(head + (a, b) + rest, mat.scale(F.reduce(-coef) if i % 2 else coef))
     return Cochain(mod, n + 1, acc)
 
 
@@ -176,10 +176,10 @@ def multiply(alg: Algebra, u, v):
         for j, vj in enumerate(v):
             if not vj:
                 continue
-            c = F.mul(ui, vj)
+            c = ui * vj
             for k, w in enumerate(row[j]):
                 if w:
-                    out[k] = F.add(out[k], F.mul(c, w))
+                    out[k] = F.reduce(out[k] + c * w)
     return out
 
 
@@ -298,8 +298,8 @@ def reference_h0_dim(module):
             for c in range(d_m):
                 eq = [F.zero] * (d_m * d_m)
                 for k in range(d_m):
-                    eq[r * d_m + k] = F.add(eq[r * d_m + k], a[k][c])
-                    eq[k * d_m + c] = F.sub(eq[k * d_m + c], a[r][k])
+                    eq[r * d_m + k] = F.reduce(eq[r * d_m + k] + a[k][c])
+                    eq[k * d_m + c] = F.reduce(eq[k * d_m + c] - a[r][k])
                 rows.append(eq)
     _, pivots = oracle_rref(Matrix(F, rows, d_m * d_m))
     return d_m * d_m - len(pivots)
@@ -307,6 +307,13 @@ def reference_h0_dim(module):
 
 # ---------------------------------------------------------------------------
 # matrices and scalars
+
+
+def matvec(mat: Matrix, v):
+    """mat times the column vector v, as canonical scalars of mat's field."""
+    assert len(v) == mat.ncols, "vector length does not match column count"
+    F = mat.field
+    return [F.reduce(sum((a * x for a, x in zip(row, v) if a and x), F.zero)) for row in mat.data]
 
 
 def frac_mat(rows):
@@ -499,8 +506,8 @@ def change_basis(alg: Algebra, mod: Module, rng):
                     for k, c in enumerate(alg.structure[i][j]):
                         if c:
                             old[k] += coef * c
-            structure[a][b] = pinv.matvec(old)
-    unit = pinv.matvec(alg.unit)
+            structure[a][b] = matvec(pinv, old)
+    unit = matvec(pinv, alg.unit)
     new_alg = Algebra(QQ, structure, unit)
     q, qinv = random_unimodular(rng, mod.dim)
     action = []
@@ -562,7 +569,7 @@ def random_cocycle(mod, rng, scale=3):
     for b in basis:
         c = F.parse(str(rng.randint(-scale, scale)))
         if c:
-            vec = [F.add(v, F.mul(c, x)) for v, x in zip(vec, b)]
+            vec = [F.reduce(v + c * x) for v, x in zip(vec, b)]
     return Cochain.unflatten(mod, 1, vec)
 
 

@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -13,11 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moddef
-from helpers import projector_module
+from helpers import (
+    matvec,
+    projector_module,
+    random_automorphism,
+    random_coboundary,
+    random_cochain,
+    random_cocycle,
+    random_pair,
+)
 from moddef import documents as docs
 from moddef.cli import build_parser, main, run
-from moddef.deformation import check_deformation
+from moddef.deformation import ApproximateDeformation, check_deformation
 from moddef.errors import InputError
+from moddef.fields import QQ, field_from_name
 from moddef.fixtures import fixture_documents
 from moddef.linalg import Matrix
 
@@ -294,11 +305,9 @@ def test_witness_absent_certificate_rechecks(tmp_path):
     field = problem.field
     y = [field.parse(v) for v in cert["functional"]]
     d = differential_matrix(problem.module, 0)
-    assert all(v == field.zero for v in d.transpose().matvec(y))
+    assert all(v == field.zero for v in matvec(d.transpose(), y))
     sigma = problem.cochain
-    pairing = sum(
-        (field.mul(a, b) for a, b in zip(y, sigma.flatten())), field.zero
-    )
+    pairing = field.reduce(sum((a * b for a, b in zip(y, sigma.flatten())), field.zero))
     assert field.format(pairing) == cert["pairing"]
     assert pairing != field.zero
 
@@ -630,6 +639,83 @@ def test_cli_surface_is_pinned():
     ]
     (command,) = [a for a in parser._actions if a.dest == "command"]
     assert list(command.choices) == list(ALL_COMMANDS)
+
+
+# --- canonical scalars ------------------------------------------------------------
+
+_SCALAR_TEXT = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+
+
+def _scalar_strings(node):
+    """Every string in a result document that has the syntax of a scalar."""
+    if isinstance(node, str):
+        if _SCALAR_TEXT.match(node):
+            yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _scalar_strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _scalar_strings(value)
+
+
+def _assert_canonical_scalars(field, result):
+    """Over F_p every scalar prints as a decimal in [0, p); over Q it
+    prints as QQ.format prints its value. Returns how many were checked."""
+    found = list(_scalar_strings(result))
+    for s in found:
+        if field.p is None:
+            assert QQ.format(QQ.parse(s)) == s, s
+        else:
+            assert s.isdigit() and str(int(s)) == s and int(s) < field.p, s
+    return len(found)
+
+
+@pytest.mark.parametrize("field", ["Q", "F7", "F10007"])
+def test_fixture_results_print_canonical_scalars(tmp_path, field):
+    checked = 0
+    for fixture in ("A", "B", "C"):
+        for command in ALL_COMMANDS:
+            code, result, _ = run_cli(
+                tmp_path, command, FIXTURE_DOCS[fixture], "--field", field, name=fixture
+            )
+            assert code in (0, 1), (command, fixture)
+            checked += _assert_canonical_scalars(field_from_name(field), result)
+    assert checked > 100
+
+
+def _random_document(rng, cocycle):
+    """A problem document over Q for a random pair: a first-order
+    deformation along a random cocycle, a second one shifted by a random
+    coboundary, a random automorphism, and as the cochain payload that
+    cocycle or (cocycle False) a random degree-1 cochain."""
+    alg, mod = random_pair(rng, max_dim_m=2)
+    sigma = random_cocycle(mod, rng)
+    shifted = sigma + random_coboundary(mod, rng)
+    return {
+        "field": "Q",
+        "algebra": docs.encode_algebra(alg),
+        "module": docs.encode_module(mod),
+        "options": {"order": 3, "degree": 2},
+        "cochain": docs.encode_cochain(sigma if cocycle else random_cochain(mod, 1, rng)),
+        "deformation": docs.encode_deformation(ApproximateDeformation(mod, [sigma])),
+        "deformation2": docs.encode_deformation(ApproximateDeformation(mod, [shifted])),
+        "automorphism": docs.encode_automorphism(random_automorphism(mod, 2, rng)),
+    }
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(["Q", "F13"]), cocycle=st.booleans())
+def test_random_pair_results_print_canonical_scalars(seed, field, cocycle):
+    text = docs.canonical_json(_random_document(random.Random(seed), cocycle))
+    checked = 0
+    for command in ALL_COMMANDS:
+        if command == "integrate" and not cocycle:
+            continue  # the seed of integrate must be a cocycle
+        result, _ = run(command, docs.parse_problem(text, field))
+        result = json.loads(docs.canonical_json(result))
+        checked += _assert_canonical_scalars(field_from_name(field), result)
+    assert checked > 0
 
 
 # --- determinism ------------------------------------------------------------------

@@ -520,13 +520,13 @@ def deformations(draw):
     delta = F.parse(str(rng.choice((-2, -1, 1, 2, 3))))
     if where == "action":
         action = [Matrix(F, [row[:] for row in m.data]) for m in mod.action]
-        action[a].data[r][c] = F.add(action[a].data[r][c], delta)
+        action[a].data[r][c] = F.reduce(action[a].data[r][c] + delta)
         mod = Module(alg, action)
         return ApproximateDeformation(mod, [Cochain(mod, 1, t.entries) for t in d.terms])
     n = rng.randrange(d.order)
     mat = d.terms[n].value((a,))
     mat = Matrix(F, [row[:] for row in mat.data])
-    mat.data[r][c] = F.add(mat.data[r][c], delta)
+    mat.data[r][c] = F.reduce(mat.data[r][c] + delta)
     terms = list(d.terms)
     terms[n] = Cochain(mod, 1, {**terms[n].entries, (a,): mat})
     return ApproximateDeformation(mod, terms)

@@ -36,9 +36,17 @@ def test_prime_field_arithmetic():
     assert f7.parse("10") == 3
     assert f7.parse("-1") == 6
     assert f7.parse("1/2") == 4  # 2 * 4 = 8 = 1
-    assert f7.mul(3, 5) == 1
+    assert f7.p == 7
+    assert f7.reduce(-1) == 6
+    assert f7.reduce(15) == 1  # 3 * 5
     with pytest.raises(InputError):
         f7.parse("1/7")
+
+
+def test_rational_reduce_is_the_identity():
+    x = Fraction(-3, 4)
+    assert QQ.reduce(x) is x
+    assert QQ.p is None
 
 
 def test_non_prime_modulus_rejected():

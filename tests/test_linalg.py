@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import frac_mat, oracle_rref, random_matrix, random_mod_matrix, reference_solve
+from helpers import frac_mat, matvec, oracle_rref, random_matrix, random_mod_matrix, reference_solve
 from moddef import _kernel_py as kernel
 from moddef.errors import InputError
 from moddef.fields import PrimeField, QQ
@@ -78,7 +78,49 @@ def test_rank_nullity():
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6), density=0.5)
         assert m.rank() + len(m.kernel_basis()) == m.ncols
         for v in m.kernel_basis():
-            assert all(x == 0 for x in m.matvec(v))
+            assert all(x == 0 for x in matvec(m, v))
+
+
+def test_kernel_basis_builds_the_columns_asked_for():
+    rng = random.Random(29)
+    for field in (QQ, PrimeField(13)):
+        for _ in range(10):
+            if field == QQ:
+                m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 7), density=0.5)
+            else:
+                m = random_mod_matrix(rng, rng.randint(1, 5), rng.randint(1, 7), 13, density=0.5)
+            _, pivots = m.rref()
+            free = [j for j in range(m.ncols) if j not in pivots]
+            full = m.kernel_basis()
+            assert m.kernel_basis(free[1::2]) == full[1::2]
+            assert m.kernel_basis([]) == []
+
+
+@settings(max_examples=60)
+@given(st.sampled_from((2, 7, 13)), st.data())
+def test_matrix_operators_agree_with_integer_arithmetic_mod_p(p, data):
+    """Plain sums, differences, negatives and products of residues leave
+    [0, p); every Matrix operator brings them back."""
+    f = PrimeField(p)
+    n, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    cells = st.integers(0, p - 1)
+
+    def mat(nrows, ncols):
+        return Matrix(f, [[data.draw(cells) for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+    a, a2, b = mat(n, k), mat(n, k), mat(k, c)
+    s = data.draw(cells)
+    want = {
+        "+": [[(x + y) % p for x, y in zip(r, q)] for r, q in zip(a.data, a2.data)],
+        "-": [[(x - y) % p for x, y in zip(r, q)] for r, q in zip(a.data, a2.data)],
+        "neg": [[-x % p for x in r] for r in a.data],
+        "scale": [[s * x % p for x in r] for r in a.data],
+        "@": [[sum(x * y for x, y in zip(r, col)) % p for col in zip(*b.data)] for r in a.data],
+    }
+    got = {"+": a + a2, "-": a - a2, "neg": -a, "scale": a.scale(s), "@": a @ b}
+    for op, m in got.items():
+        assert m.data == want[op], op
+        assert all(0 <= x < p for row in m.data for x in row), op
 
 
 def test_solve_identity():
@@ -95,10 +137,10 @@ def test_solve_random_consistent_systems():
     for _ in range(20):
         a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), density=0.6)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(a.ncols)]
-        b = a.matvec(x)
+        b = matvec(a, x)
         x = solve(a, b)
         assert x is not None
-        assert a.matvec(x) == b
+        assert matvec(a, x) == b
 
 
 def test_solve_present_iff_ranks_match():
@@ -123,7 +165,7 @@ def test_prime_field_rref_and_solve():
         reduced, pivots = m.rref()
         assert m.rank() + len(m.kernel_basis()) == 6
         for v in m.kernel_basis():
-            assert all(x == 0 for x in m.matvec(v))
+            assert all(x == 0 for x in matvec(m, v))
         # pivot columns carry unit vectors
         for r, c in enumerate(pivots):
             col = [reduced.data[i][c] for i in range(m.nrows)]
@@ -137,7 +179,7 @@ def test_big_modulus_path():
     assert m.rank() == 3
     x = solve(m, [1, 0, 0])
     assert x is not None
-    assert m.matvec(x) == [1, 0, 0]
+    assert matvec(m, x) == [1, 0, 0]
 
 
 def test_matrix_shape_validation():
@@ -206,10 +248,10 @@ def scrambled_echelon_forms(draw):
             scrambled[i], scrambled[j] = scrambled[j], scrambled[i]
         elif kind == "scale":
             c = draw(nonunit)
-            scrambled[i] = [field.mul(c, x) for x in scrambled[i]]
+            scrambled[i] = [field.reduce(c * x) for x in scrambled[i]]
         elif i != j:
             c = draw(scalars)
-            scrambled[i] = [field.add(x, field.mul(c, y)) for x, y in zip(scrambled[i], scrambled[j])]
+            scrambled[i] = [field.reduce(x + c * y) for x, y in zip(scrambled[i], scrambled[j])]
     return field, Matrix(field, rows, ncols), pivots, Matrix(field, scrambled, ncols)
 
 
@@ -245,7 +287,7 @@ def systems(draw):
     rhs = []
     for consistent in draw(st.lists(st.booleans(), min_size=2, max_size=6)):
         if consistent:
-            rhs.append(m.matvec([draw(scalars) for _ in range(ncols)]))
+            rhs.append(matvec(m, [draw(scalars) for _ in range(ncols)]))
         else:
             rhs.append([draw(scalars) for _ in range(nrows)])
     return field, m, rhs
@@ -264,7 +306,7 @@ def test_solve_replays_one_factorisation(case):
         want = reference_solve(m, b)
         assert got == want
         if want is not None:
-            assert m.matvec(want) == b
+            assert matvec(m, want) == b
             assert all(type(x) in (Fraction, int) for x in got)
         assert ops is None or m._ops is ops  # factorised once
         ops = m._ops
@@ -329,11 +371,11 @@ def sparse_systems(draw):
     for _ in range(draw(st.integers(0, 3))):  # duplicates, some scaled
         i, j = rng.randrange(nrows), rng.randrange(nrows)
         c = field.one if rng.random() < 0.5 else scalar()
-        rows[j] = [field.mul(c, x) if x else x for x in rows[i]]
+        rows[j] = [field.reduce(c * x) if x else x for x in rows[i]]
     for _ in range(draw(st.integers(0, 2))):
         rows[rng.randrange(nrows)] = [zero() for _ in range(ncols)]
     m = Matrix(field, rows, ncols)
-    rhs = [m.matvec([scalar() if rng.random() < 0.2 else field.zero for _ in range(ncols)])]
+    rhs = [matvec(m, [scalar() if rng.random() < 0.2 else field.zero for _ in range(ncols)])]
     rhs.append([scalar() if rng.random() < 0.1 else field.zero for _ in range(nrows)])
     return field, rows, rhs
 
