@@ -13,15 +13,17 @@ column -> rows index lists the rows that may hold each column; it can keep
 stale entries, which are checked when read, so the elimination only ever
 touches nonzeros. Columns are taken in order, and the pivot of a column is
 its candidate row with the fewest nonzeros (Markowitz's rule restricted to
-one column), ties going to the row earliest in the current order. The
-reduced rows come out in the same form, each a fresh list; a row below the
-rank is empty.
+one column), ties going to the lower row index. Rows are never moved: a
+pivot is named by the index of its row. The reduced rows come out in the
+same form, each a fresh list, the pivot rows in pivot order followed by
+one empty row for each row below the rank.
 
-The elimination can record its row operations, one (swapped row, pivot
-inverse or None, [(row, factor), ...]) triple per pivot. Replaying that
-record on a column vector gives the column that eliminating [A | b] would
-have produced, so a factorised matrix answers every later solve without a
-second elimination.
+The elimination can record its row operations, one (pivot row, pivot
+inverse or None, [(row, factor), ...]) triple per pivot: scale the pivot
+row by the inverse, then subtract factor times it from each listed row.
+Replaying that record on a column vector gives the column that
+eliminating [A | b] would have produced, entry i for row i, so a
+factorised matrix answers every later solve without a second elimination.
 """
 
 from fractions import Fraction
@@ -44,28 +46,24 @@ def _rref(rows, ncols, p, ops):
     for i, d in enumerate(sparse):
         for j in d:
             index[j].append(i)
-    at = list(range(nrows))  # position -> row
-    where = at[:]  # row -> position
+    taken = [False] * nrows  # taken[i]: row i is a pivot row
+    pivot_rows = []
     pivots = []
     for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
+        if len(pivots) == nrows:
             break
         col = index[c]
-        best, best_n, pr = -1, ncols + 1, nrows  # no row has ncols + 1 nonzeros
+        best, best_n = -1, ncols + 1  # no row has ncols + 1 nonzeros
         for i in col:
-            pos = where[i]
-            if pos >= r:
+            if not taken[i]:
                 d = sparse[i]
                 if c in d:
                     n = len(d)
-                    if n < best_n or (n == best_n and pos < pr):
-                        best, best_n, pr = i, n, pos
+                    if n < best_n or (n == best_n and i < best):
+                        best, best_n = i, n
         if best < 0:
             continue
-        other = at[r]
-        at[r], at[pr] = best, other
-        where[best], where[other] = r, pr
+        taken[best] = True
         piv = sparse[best]
         pval = piv.pop(c)
         inv = None
@@ -81,17 +79,15 @@ def _rref(rows, ncols, p, ops):
                     piv[j] = piv[j] * inv % p
         # the pivot's own column is dropped from every other row directly;
         # the other entries are negated once, here, instead of at every use
-        if p is None:
-            entries = [(j, -v) for j, v in piv.items()]
-        else:
-            entries = [(j, p - v) for j, v in piv.items()]
+        # (over F_p the % p of each update brings a negative into [0, p))
+        entries = [(j, -v) for j, v in piv.items()]
         factors = []
         for i in col:
             row = sparse[i]
             f = row.pop(c, None)
             if f is None:  # the pivot row, a stale entry, or a duplicate
                 continue
-            factors.append((where[i], f))
+            factors.append((i, f))
             if p is None:
                 for j, nj in entries:
                     v = row.get(j)
@@ -118,9 +114,10 @@ def _rref(rows, ncols, p, ops):
                             del row[j]
         piv[c] = pval if inv is None else _ONE if p is None else 1
         if ops is not None:
-            ops.append((pr, inv, factors))
+            ops.append((best, inv, factors))
+        pivot_rows.append(best)
         pivots.append(c)
-    out = [sorted(sparse[i].items()) for i in at[: len(pivots)]]
+    out = [sorted(sparse[i].items()) for i in pivot_rows]
     out += [[] for _ in range(nrows - len(pivots))]
     return out, tuple(pivots)
 
@@ -138,14 +135,13 @@ def rref_mod(rows, ncols, p, ops=None):
 def replay(ops, vec, p):
     """Apply recorded row operations to the column vec (mutated), over Q
     (p is None) or over F_p, exactly as the elimination applied them to
-    its rows; returns vec."""
-    for r, (pr, inv, factors) in enumerate(ops):
-        vec[pr], vec[r] = vec[r], vec[pr]
-        v = vec[r]
+    its rows: entry i follows row i, and no entry moves. Returns vec."""
+    for pr, inv, factors in ops:
+        v = vec[pr]
         if not v:
             continue
         if inv is not None:
-            v = vec[r] = v * inv if p is None else v * inv % p
+            v = vec[pr] = v * inv if p is None else v * inv % p
         if p is None:
             for i, f in factors:
                 vec[i] -= f * v

@@ -25,7 +25,7 @@ canonical with respect to this order.
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import Module
+from .algebra import Module, validate_module
 from .errors import InputError, ResourceError
 from .linalg import Matrix, solve
 
@@ -300,11 +300,12 @@ def cokernel_certificate(f: Cochain):
     the first free column j whose pairing with b = f.flatten() is nonzero:
     b[j] - sum_r R[r][j] b[pc_r] over its reduced rows R and their pivots
     pc_r. One pass over R gives every pairing (a pivot column's own entry
-    is 1, so its pairing cancels to zero); only the emitted y is dense."""
+    is 1, so its pairing cancels to zero); only the emitted y is built,
+    by kernel_basis([j])."""
     if f.degree < 1:
         raise InputError("cokernel certificates exist in degree >= 1 only")
-    d = differential_matrix(f.module, f.degree - 1)
-    reduced, pivots = d.transpose().rref()
+    dt = differential_matrix(f.module, f.degree - 1).transpose()
+    reduced, pivots = dt.rref()
     F = f.module.field
     b = f.flatten()
     pairing = b[:]
@@ -315,13 +316,7 @@ def cokernel_certificate(f: Cochain):
     for j, s in enumerate(pairing):
         s = F.reduce(s)
         if s:
-            y = [F.zero] * len(b)
-            y[j] = F.one
-            for row, pc in zip(reduced.rows, pivots):
-                for i, coef in row:
-                    if i == j:
-                        y[pc] = F.reduce(-coef)
-            return y, s
+            return dt.kernel_basis([j])[0], s
     return None
 
 
@@ -341,8 +336,8 @@ def cohomology(module, degree) -> CohomologyReport:
     [d_{n-1} | kernel] is eliminated, so the output is reproducible byte
     for byte.
 
-    The module must be valid (every command validates it first), so
-    d_n d_{n-1} = 0 and the coboundaries are cocycles. A cocycle is fixed
+    The module must be valid, so d_n d_{n-1} = 0 and the coboundaries are
+    cocycles; an invalid module raises InputError. A cocycle is fixed
     by its coordinates in the free columns F of d_n, each pivot coordinate
     being minus its pivot row against them, so restricting to F is
     injective on cocycles and sends the kernel vectors to unit vectors. A
@@ -352,17 +347,18 @@ def cohomology(module, degree) -> CohomologyReport:
     never factorised, and only the emitted kernel vectors are built."""
     if degree < 0:
         raise InputError("degree must be >= 0")
+    issues = validate_module(module)
+    if issues:
+        raise InputError(f"invalid module: {issues[0].message}")
     d = differential_matrix(module, degree)
     pivots = set(d.rref()[1])
     free = [j for j in range(d.ncols) if j not in pivots]
     emitted = free
     if degree > 0:
         prev = differential_matrix(module, degree - 1)
-        cols = [[] for _ in range(prev.ncols)]
-        for k, j in enumerate(reversed(free)):  # F reversed: each row's columns increase
-            for c, v in prev.rows[j]:
-                cols[c].append((k, v))
-        last = set(Matrix.sparse(module.field, cols, len(free)).rref()[1])
+        # F reversed, so the k-th last free column is column k of the system
+        rows = [prev.rows[j] for j in reversed(free)]
+        last = set(Matrix.sparse(module.field, rows, prev.ncols).transpose().rref()[1])
         emitted = [j for k, j in enumerate(reversed(free)) if k not in last][::-1]
     reps = [Cochain.unflatten(module, degree, v) for v in d.kernel_basis(emitted)]
     return CohomologyReport(degree, len(free), len(free) - len(reps), len(reps), reps)

@@ -204,14 +204,17 @@ class Matrix:
 def solve(a: Matrix, b: list):
     """The canonical solution of a x = b (every free variable zero), or
     None when b is outside the column span of a. Replaying a's recorded
-    row operations on b gives the last column of rref([a | b])."""
+    row operations on b gives the last column of [a | b] eliminated as
+    a was: pivot k's variable is its entry at pivot k's row, and b is in
+    the span exactly when every other entry is zero."""
     if len(b) != a.nrows:
         raise InputError(f"right-hand side length {len(b)} != row count {a.nrows}")
     _, pivots = a.rref()
-    y = kernel.replay(a._ops, list(b), a.field.p)
-    if any(y[len(pivots):]):
+    F = a.field
+    y = kernel.replay(a._ops, list(b), F.p)
+    x = [F.zero] * a.ncols
+    for (i, _, _), pc in zip(a._ops, pivots):
+        x[pc], y[i] = y[i], F.zero
+    if any(y):
         return None
-    x = [a.field.zero] * a.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = y[r]
     return x

@@ -20,6 +20,7 @@ from helpers import (
     reference_cohomology,
     reference_differential,
     reference_h0_dim,
+    reference_solve,
 )
 from moddef import _backend, cochain
 from moddef.algebra import Module
@@ -36,7 +37,7 @@ from moddef.deformation import integrate, rigidity_check
 from moddef.errors import InputError, ResourceError
 from moddef.fields import PrimeField, QQ
 from moddef.fixtures import fixture_a, fixture_b, fixture_c
-from moddef.linalg import Matrix
+from moddef.linalg import Matrix, solve
 
 Q0, Q1 = Fraction(0), Fraction(1)
 
@@ -393,8 +394,9 @@ def _canonical_certificate(f):
 
 def test_certificate_builds_only_the_vector_it_emits(monkeypatch):
     """The certificate reads its pairings off the reduced transpose and
-    never asks for the kernel basis, yet emits the same (y, pairing) as
-    the first kernel-basis vector that pairs nonzero, over Q and F_13."""
+    asks the kernel basis for the one vector it emits, yet emits the same
+    (y, pairing) as the first kernel-basis vector that pairs nonzero, over
+    Q and F_13."""
     rng = random.Random(53)
     cases = []
     for _ in range(6):
@@ -417,10 +419,14 @@ def test_certificate_builds_only_the_vector_it_emits(monkeypatch):
                 cases += [(f, _canonical_certificate(f)), (bound, None)]
     assert sum(want is not None for _, want in cases) >= 12
 
-    def refuse(self):
-        raise AssertionError("the certificate built the whole kernel basis")
+    kernel_basis = Matrix.kernel_basis
 
-    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    def one_column(self, columns=None):
+        if columns is None or len(columns) != 1:
+            raise AssertionError(f"the certificate asked for kernel vectors {columns}")
+        return kernel_basis(self, columns)
+
+    monkeypatch.setattr(Matrix, "kernel_basis", one_column)
     for f, want in cases:
         assert cokernel_certificate(f) == want
 
@@ -665,3 +671,43 @@ def test_rank_mod_p_never_exceeds_rank_over_q(name, pair):
             assert reduced.rank() == d.rank()
         else:
             assert reduced.rank() <= d.rank()
+
+
+def test_cohomology_refuses_an_invalid_module():
+    """The restricted system is exact only when d_n d_{n-1} = 0. On a
+    module with one action entry raised by 1 (6 multiplicativity
+    violations) it would report H^1 = 0 and certify rigidity, while the
+    stacked oracle finds more coboundaries than cocycles."""
+    rng = random.Random(3)
+    alg, mod = random_pair(rng)
+    action = [Matrix(m.field, [row[:] for row in m.data], m.ncols) for m in mod.action]
+    action[rng.randrange(3)].data[rng.randrange(3)][rng.randrange(3)] += 1
+    oracle = reference_cohomology(Module(alg, action), 1)
+    assert oracle.dim_coboundaries > oracle.dim_cocycles
+    for check in (lambda m: cohomology(m, 1), rigidity_check):
+        with pytest.raises(InputError, match=r"^invalid module: action\(e0\) action\(e0\)"):
+            check(Module(alg, action))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((None, 13)), st.sampled_from((0, 1)))
+def test_solve_on_differentials_matches_fresh_elimination(seed, p, degree):
+    """On the matrices the program factorises, d_0 and d_1 of random pairs
+    over Q and F_13, solve returns what a fresh elimination of [d | b]
+    gives, for right-hand sides d x and for arbitrary ones."""
+    rng = random.Random(seed)
+    alg, mod = random_pair(rng)
+    if p is not None:
+        mod = over_prime(alg, mod, p)[1]
+    d = differential_matrix(mod, degree)
+
+    def vector(n, density):
+        def scalar():
+            if p is None:
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            return rng.randrange(p)
+
+        return [scalar() if rng.random() < density else mod.field.zero for _ in range(n)]
+
+    for b in (matvec(d, vector(d.ncols, 0.3)), vector(d.nrows, 0.1)):
+        assert solve(d, b) == reference_solve(d, b)
