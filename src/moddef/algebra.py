@@ -110,6 +110,8 @@ class Module:
         self.action = list(action)
         # degree -> assembled differential matrix (cochain.differential_matrix)
         self._differentials = {}
+        # degree -> the coboundary formula's terms (cochain._Stencil)
+        self._stencils = {}
         # the module's violations, once validate_module has computed them
         self._violations = None
 

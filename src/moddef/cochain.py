@@ -165,54 +165,118 @@ def _tuple_index(key, d_r):
     return idx
 
 
-def _column(module, key, r, c):
-    """The image under the differential of the unit coordinate (key, r, c):
-    pairs (flat degree-(n+1) coordinate, value); a coordinate may repeat.
-    Tuple indices are computed, not built."""
-    reduce = module.field.reduce
-    d_r, d_m = module.algebra.dim, module.dim
-    m2 = d_m * d_m
-    n = len(key)
-    t = _tuple_index(key, d_r)
-    last_negative = n % 2 == 0
-    for a, act in enumerate(module.action):
-        # a . f(key) at (a,) + key: column r of action[a] into block column c;
-        # (-1)^(n+1) f(key) . a at key + (a,): row c of action[a] into block row r
-        head = (a * d_r**n + t) * m2 + c
-        tail = (t * d_r + a) * m2 + r * d_m
-        for j, v in enumerate(act.data[c]):
-            if act.data[j][r]:
-                yield head + j * d_m, act.data[j][r]
-            if v:
-                yield tail + j, reduce(-v) if last_negative else v
-    # (-1)^i f(..., k_{i-1} k_i, ...), where e_a e_b has a k_{i-1} component
-    w = d_r**n
-    for i in range(1, n + 1):
-        w //= d_r  # d_r^(n-i), the weight of the digits after position i
-        high, low = divmod(t, w * d_r)
-        for a, b, coef in module.algebra.product_support[key[i - 1]]:
-            idx = ((high * d_r + a) * d_r + b) * w + low % w
-            yield idx * m2 + r * d_m + c, reduce(-coef) if i % 2 else coef
+class _Stencil:
+    """The terms of the coboundary formula for degree-n cochains over one
+    module, built once per (module, degree) from the nonzeros of the action
+    matrices and of the structure constants. The image of the unit
+    coordinate (t, r, c) (tuple index t, operator entry (r, c)) is read off
+    three lists, each entry a row offset and a field value:
+
+    - head[r], the a . f terms: column r of each A_a, at row
+      t d_m^2 + c + offset;
+    - tail[c], the (-1)^(n+1) f . a terms: row c of each A_a, signed by the
+      degree's parity, at row t d_r d_m^2 + r d_m + offset;
+    - middle(t, key), the (-1)^i f(..., a_{i-1} a_i, ...) terms of one
+      tuple, at row offset + r d_m + c.
+
+    Every entry is nonzero, so only the cells where two terms meet are
+    summed, reduced and tested."""
+
+    def __init__(self, module, degree):
+        F = module.field
+        d_r, d_m = module.algebra.dim, module.dim
+        self.d_r, self.d_m, self.m2 = d_r, d_m, d_m * d_m
+        self.degree = degree
+        self.reduce = F.reduce
+        head_step = d_r**degree * self.m2  # from (key) to (a,) + key
+        self.head = [[] for _ in range(d_m)]
+        self.tail = [[] for _ in range(d_m)]
+        negate = degree % 2 == 0
+        for a, act in enumerate(module.action):
+            for j, row in enumerate(act.data):
+                for k, v in enumerate(row):
+                    if v:
+                        self.head[k].append((a * head_step + j * d_m, v))
+                        self.tail[j].append((a * self.m2 + k, F.reduce(-v) if negate else v))
+        # e_a e_b has a k component: (flat index of (a, b), coef, -coef) per k
+        self.products = [
+            [(a * d_r + b, coef, F.reduce(-coef)) for a, b, coef in support]
+            for support in module.algebra.product_support
+        ]
+
+    def middle(self, t, key):
+        """The middle terms of tuple key, whose index is t, summed per
+        output tuple (different positions i can reach the same one), zero
+        sums dropped."""
+        d_r, m2, reduce = self.d_r, self.m2, self.reduce
+        out = {}
+        w = d_r**self.degree
+        for i in range(1, self.degree + 1):
+            w //= d_r  # d_r^(n-i), the weight of the digits after position i
+            high, low = divmod(t, w * d_r)
+            high *= d_r * d_r
+            low %= w
+            for ab, coef, neg in self.products[key[i - 1]]:
+                off = ((high + ab) * w + low) * m2
+                v = neg if i % 2 else coef
+                old = out.get(off)
+                out[off] = v if old is None else reduce(old + v)
+        return [(off, v) for off, v in out.items() if v]
+
+    def column(self, t, middle, r, c):
+        """The image of the unit coordinate (t, r, c) as {row: value},
+        nonzero values only; middle is self.middle of tuple t."""
+        reduce = self.reduce
+        base = t * self.m2 + c
+        acc = {base + off: v for off, v in self.head[r]}
+        for terms, base in (
+            (self.tail[c], (t * self.d_r * self.d_m + r) * self.d_m),
+            (middle, r * self.d_m + c),
+        ):
+            for off, v in terms:
+                row = base + off
+                old = acc.get(row)
+                if old is None:
+                    acc[row] = v
+                else:
+                    v = reduce(old + v)
+                    if v:
+                        acc[row] = v
+                    else:
+                        del acc[row]
+        return acc
+
+
+def _stencil(module, degree):
+    st = module._stencils.get(degree)
+    if st is None:
+        st = module._stencils[degree] = _Stencil(module, degree)
+    return st
 
 
 def differential(f: Cochain) -> Cochain:
-    """Degree n -> n+1, summed over the nonzero coordinates of f into
-    sparse output blocks, each reduced once when it becomes a matrix."""
+    """Degree n -> n+1: the stencil's column of every nonzero coordinate
+    of f, scaled and summed into sparse output blocks, each reduced once
+    when it becomes a matrix."""
     mod = f.module
     F = mod.field
     d_r, d_m = mod.algebra.dim, mod.dim
+    m2 = d_m * d_m
     n = f.degree + 1
+    st = _stencil(mod, f.degree)
     blocks = {}
     for key, mat in f.entries.items():
+        t = _tuple_index(key, d_r)
+        middle = st.middle(t, key)
         for r, row in enumerate(mat.data):
             for c, x in enumerate(row):
                 if not x:
                     continue
-                for idx, v in _column(mod, key, r, c):
-                    t, rem = divmod(idx, d_m * d_m)
-                    if t not in blocks:
-                        blocks[t] = [[F.zero] * d_m for _ in range(d_m)]
-                    blocks[t][rem // d_m][rem % d_m] += x * v
+                for idx, v in st.column(t, middle, r, c).items():
+                    tb, rem = divmod(idx, m2)
+                    if tb not in blocks:
+                        blocks[tb] = [[F.zero] * d_m for _ in range(d_m)]
+                    blocks[tb][rem // d_m][rem % d_m] += x * v
     entries = {
         tuple(t // d_r ** (n - 1 - j) % d_r for j in range(n)): Matrix(
             F, [list(map(F.reduce, row)) for row in block], d_m
@@ -232,11 +296,9 @@ def differential_matrix(module, degree) -> Matrix:
     Refuses, before assembling, a matrix of more than
     MAX_DIFFERENTIAL_CELLS cells.
 
-    Each column is scattered from _column into one dict per row; a sum is
-    formed and reduced only where two terms meet in a cell, and a sum that
-    cancels is deleted, so every row holds nonzeros only. Columns are
-    visited in order, so each dict already lists its columns in increasing
-    order.
+    Each column is the stencil's column of its unit coordinate, nonzeros
+    only, appended as (column, value) onto plain row lists. Columns are
+    visited in order, so every row lists its columns in increasing order.
 
     Assembled once per (module, degree) and kept on the module, so every
     witness, certificate and rank over that module shares one matrix and
@@ -255,25 +317,17 @@ def differential_matrix(module, degree) -> Matrix:
     cached = module._differentials.get(degree)
     if cached is not None:
         return cached
-    rows = [{} for _ in range(nrows)]
-    reduce = module.field.reduce
+    st = _stencil(module, degree)
+    rows = [[] for _ in range(nrows)]
     col = 0
-    for key in product(range(d_r), repeat=degree):
+    for t, key in enumerate(product(range(d_r), repeat=degree)):
+        middle = st.middle(t, key)
         for r in range(d_m):
             for c in range(d_m):
-                for idx, v in _column(module, key, r, c):
-                    row = rows[idx]
-                    old = row.get(col)
-                    if old is None:
-                        row[col] = v
-                    else:
-                        v = reduce(old + v)
-                        if v:
-                            row[col] = v
-                        else:
-                            del row[col]
+                for row, v in st.column(t, middle, r, c).items():
+                    rows[row].append((col, v))
                 col += 1
-    out = Matrix.sparse(module.field, [list(row.items()) for row in rows], ncols)
+    out = Matrix.sparse(module.field, rows, ncols)
     module._differentials[degree] = out
     return out
 

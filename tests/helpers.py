@@ -13,6 +13,7 @@ construction while the raw data looks nothing like the catalog entry.
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from moddef.algebra import Algebra, Module, Violation
 from moddef.cochain import Cochain, CohomologyReport, differential_matrix
@@ -131,6 +132,65 @@ def reference_differential(f: Cochain) -> Cochain:
             for a, b, coef in alg.product_support[key[i - 1]]:
                 add_to(head + (a, b) + rest, mat.scale(F.reduce(-coef) if i % 2 else coef))
     return Cochain(mod, n + 1, acc)
+
+
+def _reference_column(module, key, r, c):
+    """The image under the differential of the unit coordinate (key, r, c):
+    pairs (flat degree-(n+1) coordinate, value); a coordinate may repeat.
+    Every action entry of column r and row c is read and tested."""
+    reduce = module.field.reduce
+    d_r, d_m = module.algebra.dim, module.dim
+    m2 = d_m * d_m
+    n = len(key)
+    t = 0
+    for k in key:
+        t = t * d_r + k
+    last_negative = n % 2 == 0
+    for a, act in enumerate(module.action):
+        # a . f(key) at (a,) + key: column r of action[a] into block column c;
+        # (-1)^(n+1) f(key) . a at key + (a,): row c of action[a] into block row r
+        head = (a * d_r**n + t) * m2 + c
+        tail = (t * d_r + a) * m2 + r * d_m
+        for j, v in enumerate(act.data[c]):
+            if act.data[j][r]:
+                yield head + j * d_m, act.data[j][r]
+            if v:
+                yield tail + j, reduce(-v) if last_negative else v
+    # (-1)^i f(..., k_{i-1} k_i, ...), where e_a e_b has a k_{i-1} component
+    w = d_r**n
+    for i in range(1, n + 1):
+        w //= d_r  # d_r^(n-i), the weight of the digits after position i
+        high, low = divmod(t, w * d_r)
+        for a, b, coef in module.algebra.product_support[key[i - 1]]:
+            idx = ((high * d_r + a) * d_r + b) * w + low % w
+            yield idx * m2 + r * d_m + c, reduce(-coef) if i % 2 else coef
+
+
+def reference_differential_matrix(module, degree):
+    """The sparse rows of d_n, one unit coordinate at a time: each column's
+    terms are scattered into one dict per row, a sum is reduced where two
+    terms meet and deleted where it cancels. Columns are visited in order,
+    so every row lists its columns in increasing order."""
+    d_r, d_m = module.algebra.dim, module.dim
+    reduce = module.field.reduce
+    rows = [{} for _ in range(d_r ** (degree + 1) * d_m * d_m)]
+    col = 0
+    for key in product(range(d_r), repeat=degree):
+        for r in range(d_m):
+            for c in range(d_m):
+                for idx, v in _reference_column(module, key, r, c):
+                    row = rows[idx]
+                    old = row.get(col)
+                    if old is None:
+                        row[col] = v
+                    else:
+                        v = reduce(old + v)
+                        if v:
+                            row[col] = v
+                        else:
+                            del row[col]
+                col += 1
+    return [list(row.items()) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +609,16 @@ def random_pair(rng, max_dim_r=4, max_dim_m=3):
 
 
 def random_cochain(mod, degree, rng, density=0.4, scale=3):
-    d_r = mod.algebra.dim
+    """Random values on about a density share of the tuples: small
+    fractions over Q, uniform residues over F_p."""
+    d_r, d_m, p = mod.algebra.dim, mod.dim, mod.field.p
     entries = {}
-    from itertools import product
-
     for key in product(range(d_r), repeat=degree):
         if rng.random() < density:
-            m = random_matrix(rng, mod.dim, mod.dim, density=0.6, scale=scale)
-            entries[key] = m
+            if p is None:
+                entries[key] = random_matrix(rng, d_m, d_m, density=0.6, scale=scale)
+            else:
+                entries[key] = random_mod_matrix(rng, d_m, d_m, p, density=0.6)
     return Cochain(mod, degree, entries)
 
 

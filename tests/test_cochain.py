@@ -1,6 +1,8 @@
+import importlib.util
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from helpers import (
     random_pair,
     reference_cohomology,
     reference_differential,
+    reference_differential_matrix,
     reference_h0_dim,
     reference_solve,
 )
@@ -34,6 +37,7 @@ from moddef.cochain import (
     is_cocycle,
 )
 from moddef.deformation import integrate, rigidity_check
+from moddef.documents import parse_problem
 from moddef.errors import InputError, ResourceError
 from moddef.fields import PrimeField, QQ
 from moddef.fixtures import fixture_a, fixture_b, fixture_c
@@ -138,17 +142,48 @@ def test_entrywise_square_is_zero():
 
 
 def test_matrix_agrees_with_entrywise_differential():
-    # both assembled forms against the operator-form oracle, on random
-    # pairs and on basis changes of the catalog pairs that random_pair skips
+    """Both assembled forms against the operator-form oracle up to degree
+    3, over Q, F_3 and F_13, on random pairs, on basis changes of the
+    catalog pairs that random_pair skips, and on modules with an all-zero
+    action matrix (x^2 on Q^2, a projector onto nothing), whose stencil
+    holds no terms for it."""
     rng = random.Random(19)
-    modules = [random_pair(rng)[1] for _ in range(4)]
-    modules += [change_basis(*pair, rng)[1] for pair in (jordan_module(4, 3), fixture_b())]
-    for mod in modules:
-        for degree in range(3):
-            f = random_cochain(mod, degree, rng)
-            want = reference_differential(f)
-            assert differential(f) == want
-            assert matvec(differential_matrix(mod, degree), f.flatten()) == want.flatten()
+    pairs = [random_pair(rng) for _ in range(4)]
+    pairs += [change_basis(*pair, rng) for pair in (jordan_module(4, 3), fixture_b())]
+    pairs += [jordan_module(4, 2), projector_module(3, (1, 1, 0))]
+    for p in (None, 3, 13):
+        for alg, mod in pairs:
+            if p is not None:
+                alg, mod = over_prime(alg, mod, p)
+            for degree in range(4):
+                f = random_cochain(mod, degree, rng)
+                want = reference_differential(f)
+                assert differential(f) == want
+                assert matvec(differential_matrix(mod, degree), f.flatten()) == want.flatten()
+
+
+def test_sparse_differential_stays_off_a_refused_matrix():
+    """The cocycle command's differential reads the stencil only: on a pair
+    whose d_3 the cell bound refuses, the differential of a sparse
+    degree-3 cochain equals the oracle and assembles no d_n."""
+    _, big = projector_module(8, (1,) * 6 + (0, 0))
+    with pytest.raises(ResourceError):
+        differential_matrix(big, 3)
+    rng = random.Random(29)
+    f = Cochain(big, 3, {
+        key: random_matrix(rng, big.dim, big.dim, density=0.3)
+        for key in ((0, 0, 0), (1, 2, 3), (5, 5, 1), (7, 6, 0))
+    })
+    assert differential(f) == reference_differential(f)
+    assert big._differentials == {}
+
+
+def test_differential_and_matrix_share_one_stencil():
+    _, mod = jordan_module(3, 2)
+    differential(Cochain(mod, 2, {(1, 2): Matrix.identity(QQ, 2)}))
+    stencil = mod._stencils[2]
+    differential_matrix(mod, 2)
+    assert mod._stencils == {2: stencil}
 
 
 def test_flatten_round_trip():
@@ -192,6 +227,55 @@ def test_assembled_rows_hold_nonzeros_in_column_order():
                     assert list(columns[j]) == reference_differential(f).flatten()
             if alg.unit == [mod.field.one] + [mod.field.zero] * (alg.dim - 1):
                 assert differential_matrix(mod, 0).rows[:m2] == [[] for _ in range(m2)]
+
+
+BENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+# the benchmark's cohomology-ladder pairs and the top degree it asks of each
+BENCH_LADDER = (("UT", 3), ("B", 3), ("P3", 3), ("J33", 3), ("J44", 2), ("J43", 3))
+
+
+@pytest.fixture(scope="module")
+def bench_gen():
+    """The benchmark's pair generator, read only for its pairs and bases."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", BENCH_GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_module(gen, pair, field):
+    return parse_problem(gen.document(pair, field, {})).module
+
+
+@pytest.mark.parametrize("field", ["Q", "F10007"])
+@pytest.mark.parametrize(
+    "name, degree", BENCH_LADDER, ids=[f"{n}-d{k}" for n, k in BENCH_LADDER]
+)
+def test_ladder_assembly_is_the_scatter_oracles_byte_for_byte(bench_gen, name, degree, field):
+    """The stencil's rows are the same (column, value) lists, in the same
+    order, as scattering each unit coordinate's terms into row dicts."""
+    mod = _bench_module(bench_gen, bench_gen.PAIRS[name](), field)
+    assert differential_matrix(mod, degree).rows == reference_differential_matrix(mod, degree)
+
+
+@pytest.mark.parametrize("field", ["Q", "F10007", "F2305843009213693951"])
+@pytest.mark.parametrize("name", ["C", "UT", "B", "J33", "J43"])
+def test_dense_basis_assembly_is_the_scatter_oracles_byte_for_byte(bench_gen, name, field):
+    natural = bench_gen.PAIRS[name]()
+    moved = bench_gen.dense_basis(natural, name).pair(natural)
+    mod = _bench_module(bench_gen, moved, field)
+    assert differential_matrix(mod, 2).rows == reference_differential_matrix(mod, 2)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from((None, 3, 13, 10007)))
+def test_random_assembly_is_the_scatter_oracles_byte_for_byte(seed, degree, p):
+    """Random bases make head, tail and middle terms meet in one cell; over
+    F_3 their sums cancel most often."""
+    alg, mod = random_pair(random.Random(seed))
+    if p is not None:
+        alg, mod = over_prime(alg, mod, p)
+    assert differential_matrix(mod, degree).rows == reference_differential_matrix(mod, degree)
 
 
 def test_library_paths_never_densify_a_sparse_matrix(monkeypatch):
