@@ -58,17 +58,10 @@ class Cochain:
                         f"value at {key} is {mat.nrows}x{mat.ncols}, expected "
                         f"{module.dim}x{module.dim}"
                     )
+                if mat.field != module.field:
+                    raise InputError(f"value at {key} is over {mat.field.name}, not {module.field.name}")
                 if not mat.is_zero():
                     self.entries[key] = mat
-
-    @classmethod
-    def zero(cls, module, degree):
-        return cls(module, degree)
-
-    @classmethod
-    def of_operator(cls, module, mat):
-        """Degree-0 cochain from a single operator."""
-        return cls(module, 0, {(): mat})
 
     def value(self, key) -> Matrix:
         key = tuple(key)
@@ -355,7 +348,7 @@ def cokernel_certificate(f: Cochain):
     b[j] - sum_r R[r][j] b[pc_r] over its reduced rows R and their pivots
     pc_r. One pass over R gives every pairing (a pivot column's own entry
     is 1, so its pairing cancels to zero); only the emitted y is built,
-    by kernel_basis([j])."""
+    by kernel_basis([j]). d_{n-1} keeps its transpose, factorised once."""
     if f.degree < 1:
         raise InputError("cokernel certificates exist in degree >= 1 only")
     dt = differential_matrix(f.module, f.degree - 1).transpose()

@@ -66,10 +66,6 @@ class ApproximateDeformation:
         self.terms = list(terms)
         self.order = len(self.terms)
 
-    @classmethod
-    def trivial(cls, module, order=0):
-        return cls(module, [Cochain.zero(module, 1) for _ in range(order)])
-
     def series(self, basis_index):
         """Coefficient operators of t^0..t^order applied to a basis element;
         t^0 is the undeformed action, and absent terms share one zero."""
@@ -100,43 +96,35 @@ class FormalAutomorphism:
         for i, t in enumerate(terms):
             if not isinstance(t, Matrix) or t.nrows != module.dim or t.ncols != module.dim:
                 raise InputError(f"automorphism term {i + 1} is not a {module.dim}x{module.dim} matrix")
+            if t.field != module.field:
+                raise InputError(f"automorphism term {i + 1} is over {t.field.name}, not {module.field.name}")
         self.module = module
         self.terms = list(terms)
         self.order = len(self.terms)
 
     @classmethod
-    def identity(cls, module, order=0):
-        return cls(module, [Matrix.zeros(module.field, module.dim, module.dim)] * order)
+    def identity(cls, module):
+        return cls(module, [])
 
-    def term(self, i) -> Matrix:
-        if i == 0:
-            return self.module.identity_operator()
-        if i <= self.order:
-            return self.terms[i - 1]
-        return self.module.zero_operator()
+    def series(self):
+        """The identity followed by the stored terms; _series_term reads any
+        term past the end as zero."""
+        return [self.module.identity_operator()] + self.terms
 
-    def series(self, order):
-        """Terms 0..order as a list."""
-        return [self.term(i) for i in range(order + 1)]
-
-    def invert(self, order=None):
-        """Truncated inverse by the recursion psi_n = -sum_{i>=1} phi_i psi_{n-i}."""
-        if order is None:
-            order = self.order
-        phi = self.series(order)
+    def invert(self, order):
+        """Inverse truncated at order: psi_n = -sum_{i>=1} phi_i psi_{n-i}."""
+        phi = self.series()
         psi = [phi[0]]
         for n in range(1, order + 1):
             # psi holds terms 0..n-1, so the sum starts at i = 1
             psi.append(-_series_term(phi, psi, n))
         return FormalAutomorphism(self.module, psi[1:])
 
-    def compose(self, other, order=None):
-        """Truncated product; term n of the result is sum phi_i chi_{n-i}."""
+    def compose(self, other, order):
+        """Product truncated at order; term n is sum phi_i chi_{n-i}."""
         if self.module != other.module:
             raise InputError("automorphisms live over different modules")
-        if order is None:
-            order = max(self.order, other.order)
-        left, right = self.series(order), other.series(order)
+        left, right = self.series(), other.series()
         return FormalAutomorphism(
             self.module, [_series_term(left, right, n) for n in range(1, order + 1)]
         )
@@ -265,8 +253,8 @@ def conjugate(phi: FormalAutomorphism, d: ApproximateDeformation) -> Approximate
         raise InputError("automorphism and deformation live over different modules")
     mod = d.module
     m = d.order
-    psi = phi.invert(m).series(m)
-    phi_terms = phi.series(m)
+    psi = phi.invert(m).series()
+    phi_terms = phi.series()
     entries = [{} for _ in range(m)]
     for a in range(mod.algebra.dim):
         xi = d.series(a)

@@ -61,11 +61,9 @@ def _expect(cond, path, message):
         raise InputError(f"{path}: {message}")
 
 
-def _get(data, key, path, required=True):
+def _get(data, key, path):
     if key not in data:
-        if required:
-            raise InputError(f"{path}.{key}: missing")
-        return None
+        raise InputError(f"{path}.{key}: missing")
     return data[key]
 
 

@@ -11,9 +11,9 @@ A matrix is built from dense rows (the small d_m x d_m operators) or from
 sparse rows (the differentials d_n, and every reduced echelon form). A
 sparse row is a list of (column, value) pairs in increasing column order
 holding only nonzero values. Elimination, rank, kernel bases, solves and
-the transpose all work on sparse rows; a dense matrix is converted once,
-when it is first eliminated. The dense rows of a sparse matrix are built
-only when something reads ``data``.
+the transpose all work on sparse rows; a dense matrix is converted when
+it is eliminated or transposed, which the library never does. The dense
+rows of a sparse matrix are built only when something reads ``data``.
 """
 
 from ._backend import kernel
@@ -28,7 +28,7 @@ class Matrix:
     built from them the first time it is read.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "rows", "_rref", "_ops")
+    __slots__ = ("field", "nrows", "ncols", "data", "rows", "_rref", "_ops", "_t")
 
     def __init__(self, field, data, ncols=None):
         self.field = field
@@ -43,15 +43,14 @@ class Matrix:
         self.ncols = ncols
         self.data = data
         self.rows = None
-        self._rref = None
-        self._ops = None
+        self._rref = self._ops = self._t = None
 
     @classmethod
     def sparse(cls, field, rows, ncols):
         """The matrix with these sparse rows (not copied)."""
         m = cls.__new__(cls)
         m.field, m.nrows, m.ncols, m.rows = field, len(rows), ncols, rows
-        m._rref = m._ops = None
+        m._rref = m._ops = m._t = None
         return m
 
     def __getattr__(self, name):
@@ -145,11 +144,14 @@ class Matrix:
         return Matrix(F, [list(map(F.reduce, row)) for row in out], other.ncols)
 
     def transpose(self):
-        cols = [[] for _ in range(self.ncols)]
-        for i, row in enumerate(self._sparse_rows()):
-            for j, v in row:
-                cols[j].append((i, v))
-        return Matrix.sparse(self.field, cols, self.nrows)
+        """The sparse transpose, built once and kept with its factorisation."""
+        if self._t is None:
+            cols = [[] for _ in range(self.ncols)]
+            for i, row in enumerate(self._sparse_rows()):
+                for j, v in row:
+                    cols[j].append((i, v))
+            self._t = Matrix.sparse(self.field, cols, self.nrows)
+        return self._t
 
     def _check_same_shape(self, other):
         if self.field != other.field:

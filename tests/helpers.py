@@ -639,7 +639,7 @@ def random_coboundary(mod, rng, scale=3):
     from moddef.cochain import differential
 
     phi = random_matrix(rng, mod.dim, mod.dim, density=0.8, scale=scale)
-    return differential(Cochain.of_operator(mod, phi))
+    return differential(Cochain(mod, 0, {(): phi}))
 
 
 def random_automorphism(mod, order, rng, scale=2):

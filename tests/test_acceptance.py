@@ -276,7 +276,7 @@ def test_criterion_8_first_order_conjugation_shift():
         d = ApproximateDeformation(mod, [random_cocycle(mod, rng)])
         phi = random_automorphism(mod, rng.randint(1, 3), rng)
         got = conjugate(phi, d).terms[0] - d.terms[0]
-        want = differential(Cochain.of_operator(mod, phi.term(1)))
+        want = differential(Cochain(mod, 0, {(): phi.terms[0]}))
         if got != want:
             failures.append(f"pair #{i}: first-order shift is not the commutator term")
     finish(8, failures)

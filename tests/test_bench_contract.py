@@ -6,6 +6,7 @@ benchmark run."""
 
 import importlib
 import importlib.util
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,9 +14,9 @@ import pytest
 
 import moddef
 from helpers import frac_mat, jordan_module, over_prime
-from moddef import _backend, _kernel_py
+from moddef import _backend, _kernel_py, cli, documents, errors
 from moddef.cochain import Cochain, cohomology
-from moddef.fixtures import fixture_c
+from moddef.fixtures import document_c, fixture_c
 from moddef.linalg import Matrix
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -38,6 +39,23 @@ def test_every_traced_name_exists(layers):
         assert callable(vars(Matrix).get(attr)), f"Matrix.{attr}"
     for attr in layers.KERNEL:
         assert callable(vars(_backend.kernel).get(attr)), f"kernel.{attr}"
+
+
+def test_runner_entry_points_keep_their_names_and_types(tmp_path):
+    """What perfbench/run.py calls on every run, traced or not: the backend
+    name in its metadata, the in-process and the file-to-file command
+    paths, and the errors it counts as exit code 2."""
+    assert moddef.kernel_backend == "python"
+    assert issubclass(errors.InputError, Exception)
+    assert issubclass(errors.ResourceError, Exception)
+    text = json.dumps(document_c())
+    result, code = cli.run("cohomology", documents.parse_problem(text))
+    assert isinstance(result, dict) and isinstance(code, int)
+    assert isinstance(documents.canonical_json(result), str)
+    path, out = tmp_path / "c.json", tmp_path / "out.json"
+    path.write_text(text, encoding="utf-8")
+    code = cli.main(["cohomology", str(path), "--output", str(out)])
+    assert isinstance(code, int) and code == 0 and out.exists()
 
 
 def test_kernel_entry_points_take_positional_arguments():

@@ -56,7 +56,7 @@ def one_by_one(x):
 def test_differential_of_zero_is_zero():
     _, mod = fixture_c()
     for degree in range(3):
-        assert differential(Cochain.zero(mod, degree)).is_zero()
+        assert differential(Cochain(mod, degree)).is_zero()
 
 
 def test_fixture_a_degree_one_table():
@@ -76,7 +76,7 @@ def test_degree_zero_is_commutator():
     _, mod = fixture_c()
     for _ in range(10):
         phi = random_matrix(rng, 2, 2)
-        d0 = differential(Cochain.of_operator(mod, phi))
+        d0 = differential(Cochain(mod, 0, {(): phi}))
         for a in range(2):
             rho = mod.action[a]
             assert d0.value((a,)) == rho @ phi - phi @ rho
@@ -353,7 +353,7 @@ def test_differentials_are_cocycles():
 
 def test_witness_of_zero_is_zero():
     _, mod = fixture_c()
-    w = coboundary_witness(Cochain.zero(mod, 1))
+    w = coboundary_witness(Cochain(mod, 1))
     assert w is not None and w.is_zero()
 
 
@@ -379,6 +379,39 @@ def test_cokernel_certificate_checks_out():
     assert pairing != 0
     got = sum((yv * bv for yv, bv in zip(y, f.flatten())), Fraction(0))
     assert got == pairing
+
+
+def test_repeated_certificates_eliminate_one_transpose(monkeypatch):
+    """The transpose of d_{n-1} is built and factorised once per matrix, so
+    a second and third certificate in the same degree eliminate nothing."""
+    calls = []
+    eliminate = _backend.kernel.rref_rational
+
+    def counted(*args, **kwargs):
+        calls.append((len(args[0]), args[1]))
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(_backend.kernel, "rref_rational", counted)
+    _, mod = fixture_a()
+    f = Cochain(mod, 2, {(1, 1): one_by_one(1)})
+    certs = [cokernel_certificate(f) for _ in range(3)]
+    assert certs[0] is not None and certs.count(certs[0]) == 3
+    # d_1 of fixture A is 4x2; its transpose is eliminated once
+    assert calls == [(2, 4)]
+
+
+def test_cochain_refuses_a_value_over_another_field():
+    """Over Q an F_7 value would be read as rationals: diag(1, 6) is
+    fixture C's seed diag(1, -1) over F_7, a cocycle there, but not over Q."""
+    alg, mod = fixture_c()
+    F7 = PrimeField(7)
+    seed = Matrix(F7, [[1, 0], [0, 6]])
+    with pytest.raises(InputError, match="over F7, not Q"):
+        Cochain(mod, 1, {(1,): seed})
+    _, mod7 = over_prime(alg, mod, 7)
+    assert is_cocycle(Cochain(mod7, 1, {(1,): seed}))
+    with pytest.raises(InputError, match="over Q, not F7"):
+        Cochain(mod7, 0, {(): frac_mat([[1, 0], [0, 1]])})
 
 
 def test_fixture_c_canonical_witness_frozen():
@@ -538,9 +571,9 @@ def test_cohomology_builds_only_the_representatives_it_emits(monkeypatch):
 def test_witness_needs_positive_degree():
     _, mod = fixture_a()
     with pytest.raises(InputError, match="degree >= 1 only"):
-        coboundary_witness(Cochain.zero(mod, 0))
+        coboundary_witness(Cochain(mod, 0))
     with pytest.raises(InputError, match="degree >= 1 only"):
-        cokernel_certificate(Cochain.zero(mod, 0))
+        cokernel_certificate(Cochain(mod, 0))
 
 
 # --- cohomology ----------------------------------------------------------------
