@@ -348,7 +348,7 @@ def cokernel_certificate(f: Cochain):
     b[j] - sum_r R[r][j] b[pc_r] over its reduced rows R and their pivots
     pc_r. One pass over R gives every pairing (a pivot column's own entry
     is 1, so its pairing cancels to zero); only the emitted y is built,
-    by kernel_basis([j]). d_{n-1} keeps its transpose, factorised once."""
+    by kernel_basis([j])."""
     if f.degree < 1:
         raise InputError("cokernel certificates exist in degree >= 1 only")
     dt = differential_matrix(f.module, f.degree - 1).transpose()

@@ -102,10 +102,6 @@ class FormalAutomorphism:
         self.terms = list(terms)
         self.order = len(self.terms)
 
-    @classmethod
-    def identity(cls, module):
-        return cls(module, [])
-
     def series(self):
         """The identity followed by the stored terms; _series_term reads any
         term past the end as zero."""
@@ -273,7 +269,7 @@ def normalize(d: ApproximateDeformation):
     term through the truncation order was eliminated. Conjugating the
     input by the returned automorphism reproduces the output exactly."""
     current = d
-    composite = FormalAutomorphism.identity(d.module)
+    composite = FormalAutomorphism(d.module, [])
     while True:
         lead = infinitesimal(current)
         if lead is None:

@@ -28,7 +28,7 @@ class Matrix:
     built from them the first time it is read.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "rows", "_rref", "_ops", "_t")
+    __slots__ = ("field", "nrows", "ncols", "data", "rows", "_rref", "_ops")
 
     def __init__(self, field, data, ncols=None):
         self.field = field
@@ -43,14 +43,15 @@ class Matrix:
         self.ncols = ncols
         self.data = data
         self.rows = None
-        self._rref = self._ops = self._t = None
+        self._rref = None
+        self._ops = None
 
     @classmethod
     def sparse(cls, field, rows, ncols):
         """The matrix with these sparse rows (not copied)."""
         m = cls.__new__(cls)
         m.field, m.nrows, m.ncols, m.rows = field, len(rows), ncols, rows
-        m._rref = m._ops = m._t = None
+        m._rref = m._ops = None
         return m
 
     def __getattr__(self, name):
@@ -144,14 +145,11 @@ class Matrix:
         return Matrix(F, [list(map(F.reduce, row)) for row in out], other.ncols)
 
     def transpose(self):
-        """The sparse transpose, built once and kept with its factorisation."""
-        if self._t is None:
-            cols = [[] for _ in range(self.ncols)]
-            for i, row in enumerate(self._sparse_rows()):
-                for j, v in row:
-                    cols[j].append((i, v))
-            self._t = Matrix.sparse(self.field, cols, self.nrows)
-        return self._t
+        cols = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self._sparse_rows()):
+            for j, v in row:
+                cols[j].append((i, v))
+        return Matrix.sparse(self.field, cols, self.nrows)
 
     def _check_same_shape(self, other):
         if self.field != other.field:

@@ -381,25 +381,6 @@ def test_cokernel_certificate_checks_out():
     assert got == pairing
 
 
-def test_repeated_certificates_eliminate_one_transpose(monkeypatch):
-    """The transpose of d_{n-1} is built and factorised once per matrix, so
-    a second and third certificate in the same degree eliminate nothing."""
-    calls = []
-    eliminate = _backend.kernel.rref_rational
-
-    def counted(*args, **kwargs):
-        calls.append((len(args[0]), args[1]))
-        return eliminate(*args, **kwargs)
-
-    monkeypatch.setattr(_backend.kernel, "rref_rational", counted)
-    _, mod = fixture_a()
-    f = Cochain(mod, 2, {(1, 1): one_by_one(1)})
-    certs = [cokernel_certificate(f) for _ in range(3)]
-    assert certs[0] is not None and certs.count(certs[0]) == 3
-    # d_1 of fixture A is 4x2; its transpose is eliminated once
-    assert calls == [(2, 4)]
-
-
 def test_cochain_refuses_a_value_over_another_field():
     """Over Q an F_7 value would be read as rationals: diag(1, 6) is
     fixture C's seed diag(1, -1) over F_7, a cocycle there, but not over Q."""
