@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
-from .linalg import Matrix
+from .linalg import Matrix, series_term
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,6 @@ class Module:
         self.action = list(action)
         # degree -> assembled differential matrix (cochain.differential_matrix)
         self._differentials = {}
-        # degree -> the coboundary formula's terms (cochain._Stencil)
-        self._stencils = {}
         # the module's violations, once validate_module has computed them
         self._violations = None
 
@@ -168,27 +166,35 @@ def validate_algebra(a: Algebra) -> list[Violation]:
     return out
 
 
+def multiplicativity_defects(module, series, n):
+    """((a, b), term n of series[a] series[b] less sum_k c_ab^k series[k][n])
+    for each basis pair in lexicographic order, lazily; series[k] is basis
+    element k's operator series, a term past its end being zero. Order 0 of
+    [[A_k]] is the module axiom; a deformation's defects vanish at orders
+    1..m, and at order m+1 they are its obstruction."""
+    P = module.algebra.products
+    for a, left in enumerate(series):
+        for b, right in enumerate(series):
+            minus = [(c, series[k][n]) for k, c in P[a][b] if n < len(series[k])]
+            yield (a, b), series_term(left, right, n, minus)
+
+
 def validate_module(m: Module) -> list[Violation]:
-    """Check multiplicativity of the action on all basis pairs and that the
-    unit acts as the identity.
+    """Check multiplicativity of the action on all basis pairs (the order-0
+    defects of [[A_k]]) and that the unit acts as the identity.
 
     The violations are kept on the module, as its differentials are, so
     each module is checked once; callers must not mutate the action."""
     if m._violations is None:
-        F, n, P, A = m.field, m.dim, m.algebra.products, m.action
-
-        def act(coords):  # rows of the action of sum c e_k over (k, c) in coords
-            return [
-                _expand(F, n, ((c, enumerate(A[k].data[r])) for k, c in coords)) for r in range(n)
-            ]
-
-        out = []
-        for i in range(m.algebra.dim):
-            for j in range(m.algebra.dim):
-                if (A[i] @ A[j]).data != act(P[i][j]):
-                    msg = f"action(e{i}) action(e{j}) != action(e{i} e{j})"
-                    out.append(Violation("multiplicativity", (i, j), msg))
-        if act([(k, u) for k, u in enumerate(m.algebra.unit) if u]) != m.identity_operator().data:
+        F, n, A = m.field, m.dim, m.action
+        out = [
+            Violation("multiplicativity", (i, j), f"action(e{i}) action(e{j}) != action(e{i} e{j})")
+            for (i, j), defect in multiplicativity_defects(m, [[a] for a in A], 0)
+            if not defect.is_zero()
+        ]
+        unit = [(k, u) for k, u in enumerate(m.algebra.unit) if u]
+        acted = [_expand(F, n, ((u, enumerate(A[k].data[r])) for k, u in unit)) for r in range(n)]
+        if acted != m.identity_operator().data:
             out.append(Violation("unit", (), "unit does not act as the identity"))
         m._violations = tuple(out)
     return list(m._violations)

@@ -269,9 +269,10 @@ def _read_input(path):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command is None and not args.fixtures:
-        build_parser().error("a command is required (or use --fixtures)")
+        parser.error("a command is required (or use --fixtures)")
 
     try:
         if args.fixtures:

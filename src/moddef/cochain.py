@@ -160,8 +160,9 @@ def _tuple_index(key, d_r):
 
 class _Stencil:
     """The terms of the coboundary formula for degree-n cochains over one
-    module, built once per (module, degree) from the nonzeros of the action
-    matrices and of the structure constants. The image of the unit
+    module, built from the nonzeros of the action matrices and of the
+    structure constants by each differential call and each assembly of a
+    d_n, since it costs microseconds. The image of the unit
     coordinate (t, r, c) (tuple index t, operator entry (r, c)) is read off
     three lists, each entry a row offset and a field value:
 
@@ -240,13 +241,6 @@ class _Stencil:
         return acc
 
 
-def _stencil(module, degree):
-    st = module._stencils.get(degree)
-    if st is None:
-        st = module._stencils[degree] = _Stencil(module, degree)
-    return st
-
-
 def differential(f: Cochain) -> Cochain:
     """Degree n -> n+1: the stencil's column of every nonzero coordinate
     of f, scaled and summed into sparse output blocks, each reduced once
@@ -256,7 +250,7 @@ def differential(f: Cochain) -> Cochain:
     d_r, d_m = mod.algebra.dim, mod.dim
     m2 = d_m * d_m
     n = f.degree + 1
-    st = _stencil(mod, f.degree)
+    st = _Stencil(mod, f.degree)
     blocks = {}
     for key, mat in f.entries.items():
         t = _tuple_index(key, d_r)
@@ -310,7 +304,7 @@ def differential_matrix(module, degree) -> Matrix:
     cached = module._differentials.get(degree)
     if cached is not None:
         return cached
-    st = _stencil(module, degree)
+    st = _Stencil(module, degree)
     rows = [[] for _ in range(nrows)]
     col = 0
     for t, key in enumerate(product(range(d_r), repeat=degree)):

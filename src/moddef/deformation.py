@@ -1,18 +1,20 @@
 """Truncated deformations of a module structure and their calculus.
 
 A deformation of order m perturbs the action map by degree-1 cochain terms
-xi_1, ..., xi_m subject to the multiplicativity relations
+xi_1, ..., xi_m, with xi_0 the undeformed action. Its multiplicativity
+defect at order n is the degree-2 cochain
 
-    xi_n(r s) = sum_{i+j=n} xi_i(r) xi_j(s)   for n <= m,
+    (a, b) |-> sum_{i+j=n} xi_i(a) xi_j(b) - xi_n(a b),
 
-with xi_0 the undeformed action. The order-(m+1) obstruction of a valid
-deformation is the degree-2 cochain
+computed in one place, algebra.multiplicativity_defects, with xi_n = 0
+past the truncation. Order 0 is the module axiom, the defects at orders
+1..m must vanish, and the defect at order m+1 is the obstruction
 
     (a, b) |-> sum_{i=1..m} xi_i(a) xi_{m+1-i}(b),
 
-always a cocycle; the deformation extends one order further exactly when
-that cocycle is a coboundary, and the appended term is the canonical
-solution of  d(xi_{m+1}) = -obstruction.
+always a cocycle for a valid deformation; the deformation extends one
+order further exactly when that cocycle is a coboundary, and the appended
+term is the canonical solution of  d(xi_{m+1}) = -obstruction.
 
 Automorphisms are truncated series 1 + t phi_1 + ... of operators, stored
 as their term lists and treated as exact polynomials; conjugating a
@@ -21,36 +23,10 @@ deformation by an automorphism truncates at the deformation's order.
 
 from dataclasses import dataclass
 
-from .algebra import Module, validate_module
-from .cochain import (
-    Cochain,
-    CohomologyReport,
-    coboundary_witness,
-    cohomology,
-    differential,
-    is_cocycle,
-)
+from .algebra import Module, multiplicativity_defects, validate_module
+from .cochain import Cochain, CohomologyReport, coboundary_witness, cohomology, is_cocycle
 from .errors import InputError
-from .linalg import Matrix
-
-
-def _series_term(left, right, n):
-    """Term n of the product of two truncated operator series given as
-    term lists: the sum of left[i] @ right[n - i] over the indices both
-    lists hold. Each entry is accumulated in place with native + and *,
-    skipping zero entries, and reduced once, at the end."""
-    F = left[0].field
-    ncols = right[0].ncols
-    out = [[F.zero] * ncols for _ in range(left[0].nrows)]
-    for i in range(max(0, n - len(right) + 1), min(n, len(left) - 1) + 1):
-        b = right[n - i].data
-        for orow, arow in zip(out, left[i].data):
-            for x, brow in zip(arow, b):
-                if x:
-                    for j, y in enumerate(brow):
-                        if y:
-                            orow[j] += x * y
-    return Matrix(F, [list(map(F.reduce, row)) for row in out], ncols)
+from .linalg import Matrix, series_term
 
 
 class ApproximateDeformation:
@@ -103,7 +79,7 @@ class FormalAutomorphism:
         self.order = len(self.terms)
 
     def series(self):
-        """The identity followed by the stored terms; _series_term reads any
+        """The identity followed by the stored terms; series_term reads any
         term past the end as zero."""
         return [self.module.identity_operator()] + self.terms
 
@@ -113,7 +89,7 @@ class FormalAutomorphism:
         psi = [phi[0]]
         for n in range(1, order + 1):
             # psi holds terms 0..n-1, so the sum starts at i = 1
-            psi.append(-_series_term(phi, psi, n))
+            psi.append(-series_term(phi, psi, n))
         return FormalAutomorphism(self.module, psi[1:])
 
     def compose(self, other, order):
@@ -122,7 +98,7 @@ class FormalAutomorphism:
             raise InputError("automorphisms live over different modules")
         left, right = self.series(), other.series()
         return FormalAutomorphism(
-            self.module, [_series_term(left, right, n) for n in range(1, order + 1)]
+            self.module, [series_term(left, right, n) for n in range(1, order + 1)]
         )
 
     def is_identity(self):
@@ -156,19 +132,18 @@ def check_deformation(d: ApproximateDeformation):
     """Verify the multiplicativity relations for every order up to the
     truncation; returns None when valid, else the first violation.
 
-    Order 0 is the module's own multiplicativity. At order n >= 1 the
-    relation is the extension equation d(xi_n) = -obstruction of
-    xi_1..xi_{n-1}; the first tuple where d(xi_n) + obstruction is nonzero
-    is the violating basis pair."""
+    Order 0 is the module's own multiplicativity, read from its
+    validation. At order n >= 1 the relation is that the order-n
+    multiplicativity defect of the deformed actions vanishes; the first
+    basis pair where it does not is the violation."""
     for issue in validate_module(d.module):
         if issue.kind == "multiplicativity":
             return DeformationViolation(0, *issue.where)
-    partial = ApproximateDeformation(d.module, [])
-    for n, term in enumerate(d.terms, 1):
-        residue = differential(term) + obstruction(partial)
-        if not residue.is_zero():
-            return DeformationViolation(n, *residue.support()[0])
-        partial = partial.extended_with(term)
+    series = [d.series(k) for k in range(d.module.algebra.dim)]
+    for n in range(1, d.order + 1):
+        for (a, b), defect in multiplicativity_defects(d.module, series, n):
+            if not defect.is_zero():
+                return DeformationViolation(n, a, b)
     return None
 
 
@@ -182,16 +157,11 @@ def infinitesimal(d: ApproximateDeformation):
 
 
 def obstruction(d: ApproximateDeformation) -> Cochain:
-    """Degree-2 cochain blocking the next-order extension; the empty sum at
-    order 0 gives the zero cochain. It is term m+1 of the product of the
-    deformed actions, whose own term m+1 is zero."""
+    """Degree-2 cochain blocking the next-order extension: the order-(m+1)
+    multiplicativity defect, where xi_(m+1) is absent; the empty sum at
+    order 0 gives the zero cochain."""
     series = [d.series(k) for k in range(d.module.algebra.dim)]
-    entries = {
-        (a, b): _series_term(xa, xb, d.order + 1)
-        for a, xa in enumerate(series)
-        for b, xb in enumerate(series)
-    }
-    return Cochain(d.module, 2, entries)
+    return Cochain(d.module, 2, dict(multiplicativity_defects(d.module, series, d.order + 1)))
 
 
 @dataclass
@@ -254,9 +224,9 @@ def conjugate(phi: FormalAutomorphism, d: ApproximateDeformation) -> Approximate
     entries = [{} for _ in range(m)]
     for a in range(mod.algebra.dim):
         xi = d.series(a)
-        xi_phi = [_series_term(xi, phi_terms, k) for k in range(m + 1)]
+        xi_phi = [series_term(xi, phi_terms, k) for k in range(m + 1)]
         for n in range(1, m + 1):
-            entries[n - 1][(a,)] = _series_term(psi, xi_phi, n)
+            entries[n - 1][(a,)] = series_term(psi, xi_phi, n)
     return ApproximateDeformation(mod, [Cochain(mod, 1, e) for e in entries])
 
 
@@ -279,8 +249,7 @@ def normalize(d: ApproximateDeformation):
         if witness is None:
             return current, composite, l
         phi_l = witness.value(())
-        step_terms = [Matrix.zeros(d.module.field, d.module.dim, d.module.dim)] * (l - 1)
-        step = FormalAutomorphism(d.module, step_terms + [-phi_l])
+        step = FormalAutomorphism(d.module, [d.module.zero_operator()] * (l - 1) + [-phi_l])
         current = conjugate(step, current)
         composite = composite.compose(step, d.order)
 
@@ -301,8 +270,7 @@ def equivalent_one_step(d1: ApproximateDeformation, d2: ApproximateDeformation):
     if witness is None:
         return None
     phi = witness.value(())
-    zeros = [Matrix.zeros(d1.module.field, d1.module.dim, d1.module.dim)] * (d1.order - 1)
-    return FormalAutomorphism(d1.module, zeros + [phi])
+    return FormalAutomorphism(d1.module, [d1.module.zero_operator()] * (d1.order - 1) + [phi])
 
 
 @dataclass

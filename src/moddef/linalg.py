@@ -2,10 +2,10 @@
 
 Everything downstream (validation, differentials, witness searches,
 obstruction solves) reduces to the operations here: reduced row-echelon
-form, rank, kernel bases, and affine solves. All arithmetic is exact; the
-canonical solution of a linear system is the one with every free variable
-of the echelon form set to zero, which makes all emitted witnesses and
-representatives deterministic.
+form, rank, kernel bases, affine solves and operator series products.
+All arithmetic is exact; the canonical solution of a linear system is the
+one with every free variable of the echelon form set to zero, which makes
+all emitted witnesses and representatives deterministic.
 
 A matrix is built from dense rows (the small d_m x d_m operators) or from
 sparse rows (the differentials d_n, and every reduced echelon form). A
@@ -199,6 +199,30 @@ class Matrix:
                 if v is not None:
                     v[pc] = F.reduce(-coef)
         return list(by_column.values())
+
+
+def series_term(left, right, n, minus=()):
+    """Term n of the product of two truncated operator series given as
+    term lists (left[i] @ right[n - i] summed over the indices both lists
+    hold), less c * m for each (c, m) in minus. Each entry accumulates in
+    place, zero entries skipped, and is reduced once, at the end."""
+    F = left[0].field
+    ncols = right[0].ncols
+    out = [[F.zero] * ncols for _ in range(left[0].nrows)]
+    for i in range(max(0, n - len(right) + 1), min(n, len(left) - 1) + 1):
+        b = right[n - i].data
+        for orow, arow in zip(out, left[i].data):
+            for x, brow in zip(arow, b):
+                if x:
+                    for j, y in enumerate(brow):
+                        if y:
+                            orow[j] += x * y
+    for c, m in minus:
+        for orow, mrow in zip(out, m.data):
+            for j, y in enumerate(mrow):
+                if y:
+                    orow[j] -= c * y
+    return Matrix(F, [list(map(F.reduce, row)) for row in out], ncols)
 
 
 def solve(a: Matrix, b: list):

@@ -9,11 +9,19 @@ from helpers import (
     catalog_pairs,
     frac_mat,
     over_prime,
+    random_cochain,
     random_pair,
     reference_validate_algebra,
     reference_validate_module,
 )
-from moddef.algebra import Algebra, Module, validate_algebra, validate_module
+from moddef.algebra import (
+    Algebra,
+    Module,
+    multiplicativity_defects,
+    validate_algebra,
+    validate_module,
+)
+from moddef.cochain import Cochain, differential
 from moddef.errors import InputError
 from moddef.fields import QQ, PrimeField
 from moddef.fixtures import dual_numbers, fixture_a, fixture_c, matrix_algebra_2
@@ -166,3 +174,17 @@ def test_validators_match_dense_product_oracles(pair):
                     support[k].append((i, j, c))
     assert alg.product_support == tuple(map(tuple, support))
 
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((None, 13, 10007)))
+def test_order_one_defect_is_the_differential(seed, p):
+    """The order-1 defect of [[A_k, f_k]] is A_a f_b - f_(ab) + f_a A_b,
+    the coboundary formula of a degree-1 cochain f."""
+    rng = random.Random(seed)
+    alg, mod = random_pair(rng)
+    if p is not None:
+        alg, mod = over_prime(alg, mod, p)
+    f = random_cochain(mod, 1, rng, density=0.7)
+    series = [[a, f.value((k,))] for k, a in enumerate(mod.action)]
+    defects = Cochain(mod, 2, dict(multiplicativity_defects(mod, series, 1)))
+    assert defects == differential(f)

@@ -24,13 +24,13 @@ from helpers import (
     random_cocycle,
     random_pair,
 )
+from moddef import algebra
 from moddef import documents as docs
 from moddef.cli import build_parser, main, run
 from moddef.deformation import ApproximateDeformation, check_deformation
 from moddef.errors import InputError
 from moddef.fields import QQ, field_from_name
 from moddef.fixtures import fixture_documents
-from moddef.linalg import Matrix
 
 FIXTURE_DOCS = fixture_documents()
 
@@ -223,19 +223,20 @@ def test_validate_message_prints_canonical_scalars(tmp_path, field, expected):
 
 @pytest.mark.parametrize("command", ["obstruction", "equiv-step"])
 def test_module_axioms_are_computed_once(tmp_path, monkeypatch, command):
-    # validate_module is the only caller of Matrix.__matmul__ on these
-    # paths: one product per basis pair of fixture C's 2-dimensional algebra
-    products = []
-    matmul = Matrix.__matmul__
+    # validate_module is the only caller of the order-0 defects, and the
+    # check of each deformation reads its cached violations
+    passes = []
+    defects = algebra.multiplicativity_defects
 
-    def counting(self, other):
-        products.append(1)
-        return matmul(self, other)
+    def counting(module, series, n):
+        if n == 0:
+            passes.append(module)
+        return defects(module, series, n)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    monkeypatch.setattr(algebra, "multiplicativity_defects", counting)
     code, result, _ = run_cli(tmp_path, command, FIXTURE_DOCS["C"], name="C")
     assert code == 0 and result["command"] == command
-    assert len(products) == 4
+    assert len(passes) == 1
 
 
 def test_invalid_algebra_blocks_other_commands(tmp_path, capsys):

@@ -178,14 +178,6 @@ def test_sparse_differential_stays_off_a_refused_matrix():
     assert big._differentials == {}
 
 
-def test_differential_and_matrix_share_one_stencil():
-    _, mod = jordan_module(3, 2)
-    differential(Cochain(mod, 2, {(1, 2): Matrix.identity(QQ, 2)}))
-    stencil = mod._stencils[2]
-    differential_matrix(mod, 2)
-    assert mod._stencils == {2: stencil}
-
-
 def test_flatten_round_trip():
     rng = random.Random(23)
     _, mod = fixture_c()

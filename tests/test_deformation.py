@@ -21,7 +21,6 @@ from moddef.algebra import Module
 from moddef.cochain import Cochain, coboundary_witness, differential, is_cocycle
 from moddef.deformation import (
     ApproximateDeformation,
-    _series_term,
     FormalAutomorphism,
     ObstructionOutcome,
     check_deformation,
@@ -37,7 +36,7 @@ from moddef.deformation import (
 from moddef.errors import InputError
 from moddef.fields import PrimeField, QQ
 from moddef.fixtures import fixture_a, fixture_b, fixture_c
-from moddef.linalg import Matrix
+from moddef.linalg import Matrix, series_term
 
 N = frac_mat([[0, 1], [0, 0]])
 S = frac_mat([[1, 0], [0, -1]])
@@ -487,7 +486,7 @@ def test_series_term_matches_naive_product_sum(case):
     for i in range(n + 1):
         if i < len(left) and n - i < len(right):
             want = want + left[i] @ right[n - i]
-    got = _series_term(left, right, n)
+    got = series_term(left, right, n)
     assert got == want
     assert all(type(x) is (Fraction if field == QQ else int) for row in got.data for x in row)
 
