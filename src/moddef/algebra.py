@@ -3,8 +3,13 @@
 An algebra is a basis together with the coordinate vectors of all pairwise
 basis products and of the unit; a module is one action matrix per basis
 element. Validation checks the defining axioms exactly and reports every
-violation with the indices that witness it. Nothing downstream accepts an
-algebra or module that has not passed validation.
+violation with the indices that witness it. The command line refuses an
+invalid problem before it dispatches any command but validate.
+`cohomology` and `rigidity_check` refuse an invalid algebra or module
+(`require_valid`), and `check_deformation` reports an invalid module as
+a violation at order 0. Witnesses, certificates and series products are
+exact for the matrices they are given, whether or not those satisfy the
+axioms.
 
 Basis labels are decorative; indices are authoritative.
 """
@@ -51,6 +56,8 @@ class Algebra:
         self.structure = structure
         self.unit = unit
         self.labels = tuple(labels) if labels is not None else None
+        # the algebra's violations, once validate_algebra has computed them
+        self._violations = None
 
     def __eq__(self, other):
         return (
@@ -144,26 +151,31 @@ def _expand(field, dim, terms):
 
 def validate_algebra(a: Algebra) -> list[Violation]:
     """Check associativity on all basis triples and both unit laws.
-    Returns every violation; an empty list means the algebra is valid."""
-    F, n, P = a.field, a.dim, a.products
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = _expand(F, n, ((c, P[l][k]) for l, c in P[i][j]))
-                right = _expand(F, n, ((c, P[i][l]) for l, c in P[j][k]))
-                if left != right:
-                    left, right = (", ".join(map(F.format, v)) for v in (left, right))
-                    msg = f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}): [{left}] vs [{right}]"
-                    out.append(Violation("associativity", (i, j, k), msg))
-    unit = [(l, u) for l, u in enumerate(a.unit) if u]
-    for i in range(n):
-        e = [F.one if k == i else F.zero for k in range(n)]
-        if _expand(F, n, ((u, P[l][i]) for l, u in unit)) != e:
-            out.append(Violation("unit-left", (i,), f"1*e{i} != e{i}"))
-        if _expand(F, n, ((u, P[i][l]) for l, u in unit)) != e:
-            out.append(Violation("unit-right", (i,), f"e{i}*1 != e{i}"))
-    return out
+    Returns every violation; an empty list means the algebra is valid.
+
+    The violations are kept on the algebra, as a module's are, so each
+    algebra is checked once; callers must not mutate its structure."""
+    if a._violations is None:
+        F, n, P = a.field, a.dim, a.products
+        out = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    left = _expand(F, n, ((c, P[l][k]) for l, c in P[i][j]))
+                    right = _expand(F, n, ((c, P[i][l]) for l, c in P[j][k]))
+                    if left != right:
+                        left, right = (", ".join(map(F.format, v)) for v in (left, right))
+                        msg = f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}): [{left}] vs [{right}]"
+                        out.append(Violation("associativity", (i, j, k), msg))
+        unit = [(l, u) for l, u in enumerate(a.unit) if u]
+        for i in range(n):
+            e = [F.one if k == i else F.zero for k in range(n)]
+            if _expand(F, n, ((u, P[l][i]) for l, u in unit)) != e:
+                out.append(Violation("unit-left", (i,), f"1*e{i} != e{i}"))
+            if _expand(F, n, ((u, P[i][l]) for l, u in unit)) != e:
+                out.append(Violation("unit-right", (i,), f"e{i}*1 != e{i}"))
+        a._violations = tuple(out)
+    return list(a._violations)
 
 
 def multiplicativity_defects(module, series, n):
@@ -198,3 +210,14 @@ def validate_module(m: Module) -> list[Violation]:
             out.append(Violation("unit", (), "unit does not act as the identity"))
         m._violations = tuple(out)
     return list(m._violations)
+
+
+def require_valid(m: Module):
+    """Raise InputError naming the first violation of the algebra, else of
+    the module."""
+    for what, issues in (
+        ("algebra", validate_algebra(m.algebra)),
+        ("module", validate_module(m)),
+    ):
+        if issues:
+            raise InputError(f"invalid {what}: {issues[0].message}")

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import documents as doc
-from .algebra import validate_algebra, validate_module
+from .algebra import require_valid, validate_algebra, validate_module
 from .cochain import coboundary_witness, cohomology, cokernel_certificate, differential
 from .deformation import (
     ApproximateDeformation,
@@ -54,15 +54,8 @@ def build_parser():
     p.add_argument(
         "input", nargs="?", help="problem document path ('-' or omitted reads stdin)"
     )
-    p.add_argument("--field", help="override the document field spec ('Q' or 'Fp')")
-    p.add_argument("--order", type=int, help="truncation order for integrate")
-    p.add_argument("--degree", type=int, help="top degree for cohomology reports")
     p.add_argument("--output", help="write the result document to this path")
     p.add_argument("--fixtures", action="store_true", help="emit the built-in fixture documents")
-    p.add_argument("--guardrail-dim-r", type=int, dest="g_dim_r", help="max algebra dimension")
-    p.add_argument("--guardrail-dim-m", type=int, dest="g_dim_m", help="max module dimension")
-    p.add_argument("--guardrail-order", type=int, dest="g_order", help="max truncation order")
-    p.add_argument("--guardrail-degree", type=int, dest="g_degree", help="max cochain degree")
     return p
 
 
@@ -105,10 +98,9 @@ def run(command, problem: doc.ProblemDocument):
     dict, exit code). Every command but validate refuses an invalid
     problem."""
     result = {"command": command}
-    alg_issues = validate_algebra(problem.algebra)
-    mod_issues = validate_module(problem.module)
-
     if command == "validate":
+        alg_issues = validate_algebra(problem.algebra)
+        mod_issues = validate_module(problem.module)
         ok = not alg_issues and not mod_issues
         result["verdict"] = "valid" if ok else "invalid"
         result["report"] = {
@@ -117,11 +109,8 @@ def run(command, problem: doc.ProblemDocument):
         }
         return result, 0 if ok else 1
 
-    if alg_issues:
-        raise InputError(f"invalid algebra: {alg_issues[0].message}")
-    if mod_issues:
-        raise InputError(f"invalid module: {mod_issues[0].message}")
     module = problem.module
+    require_valid(module)
 
     if command == "cohomology":
         top = problem.options.degree if problem.options.degree is not None else 2
@@ -186,7 +175,7 @@ def run(command, problem: doc.ProblemDocument):
         sigma = _require(problem, "cochain")
         order = problem.options.order
         if order is None:
-            raise InputError("integrate needs a truncation order (options.order or --order)")
+            raise InputError("integrate needs a truncation order (options.order)")
         out = integrate(sigma, order)
         if isinstance(out, ApproximateDeformation):
             result["verdict"] = "integrated"
@@ -278,15 +267,7 @@ def main(argv=None) -> int:
         if args.fixtures:
             result, code = fixture_documents(), 0
         else:
-            text = _read_input(args.input)
-            overrides = {
-                "dim_r": args.g_dim_r,
-                "dim_m": args.g_dim_m,
-                "order": args.g_order,
-                "degree": args.g_degree,
-            }
-            options = {"order": args.order, "degree": args.degree}
-            problem = doc.parse_problem(text, args.field, overrides, options)
+            problem = doc.parse_problem(_read_input(args.input))
             result, code = run(args.command, problem)
         _emit(doc.canonical_json(result), args.output)
     except (InputError, ResourceError, OSError) as exc:

@@ -25,7 +25,7 @@ canonical with respect to this order.
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import Module, validate_module
+from .algebra import Module, require_valid
 from .errors import InputError, ResourceError
 from .linalg import Matrix, solve
 
@@ -377,20 +377,18 @@ def cohomology(module, degree) -> CohomologyReport:
     [d_{n-1} | kernel] is eliminated, so the output is reproducible byte
     for byte.
 
-    The module must be valid, so d_n d_{n-1} = 0 and the coboundaries are
-    cocycles; an invalid module raises InputError. A cocycle is fixed
-    by its coordinates in the free columns F of d_n, each pivot coordinate
-    being minus its pivot row against them, so restricting to F is
-    injective on cocycles and sends the kernel vectors to unit vectors. A
-    kernel vector is thus skipped exactly when its column is the last
-    nonzero F-coordinate of a coboundary: a pivot of the coboundaries
+    The algebra and module must be valid, so d_n d_{n-1} = 0 and the
+    coboundaries are cocycles; an invalid pair raises InputError. A
+    cocycle is fixed by its coordinates in the free columns F of d_n, each
+    pivot coordinate being minus its pivot row against them, so restricting
+    to F is injective on cocycles and sends the kernel vectors to unit
+    vectors. A kernel vector is thus skipped exactly when its column is the
+    last nonzero F-coordinate of a coboundary: a pivot of the coboundaries
     restricted to F, numbered in reverse, eliminated once. d_{n-1} is read,
     never factorised, and only the emitted kernel vectors are built."""
     if degree < 0:
         raise InputError("degree must be >= 0")
-    issues = validate_module(module)
-    if issues:
-        raise InputError(f"invalid module: {issues[0].message}")
+    require_valid(module)
     d = differential_matrix(module, degree)
     pivots = set(d.rref()[1])
     free = [j for j in range(d.ncols) if j not in pivots]

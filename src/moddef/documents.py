@@ -45,7 +45,6 @@ class Options:
 
 @dataclass
 class ProblemDocument:
-    field: object
     algebra: Algebra
     module: Module
     cochain: Cochain | None
@@ -268,35 +267,28 @@ def encode_obstruction_outcome(out: ObstructionOutcome):
     }
 
 
-def _merge_guardrails(doc_options, cli_overrides):
-    """Document guardrails, then command-line overrides (keyed like the
-    document's, named by their flag in errors); each must be >= 1, and the
+def _object(raw, path, keys):
+    """raw, refused unless it is an object with no keys but these."""
+    _expect(isinstance(raw, dict), path, "expected an object")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise InputError(f"{path}: unknown keys {sorted(unknown)}")
+    return raw
+
+
+def _parse_guardrails(raw):
+    """options.guardrails over the defaults: each must be >= 1, and the
     degree at most MAX_DEGREE_GUARDRAIL."""
-    fields = {}
+    if raw is None:
+        return DEFAULT_GUARDRAILS
+    raw = _object(raw, "options.guardrails", ("dim_r", "dim_m", "order", "degree"))
     top = {"degree": MAX_DEGREE_GUARDRAIL}
-    if isinstance(doc_options, dict):
-        raw = doc_options.get("guardrails")
-        if raw is not None:
-            _expect(isinstance(raw, dict), "options.guardrails", "expected an object")
-            for key in ("dim_r", "dim_m", "order", "degree"):
-                if key in raw:
-                    fields[key] = _int(raw[key], f"options.guardrails.{key}", 1, top.get(key))
-            unknown = set(raw) - {"dim_r", "dim_m", "order", "degree"}
-            if unknown:
-                raise InputError(f"options.guardrails: unknown keys {sorted(unknown)}")
-    for key, value in (cli_overrides or {}).items():
-        if value is not None:
-            fields[key] = _int(value, "--guardrail-" + key.replace("_", "-"), 1, top.get(key))
+    fields = {k: _int(v, f"options.guardrails.{k}", 1, top.get(k)) for k, v in raw.items()}
     return replace(DEFAULT_GUARDRAILS, **fields)
 
 
-def parse_problem(
-    data, field_override=None, guardrail_overrides=None, option_overrides=None
-) -> ProblemDocument:
+def parse_problem(data) -> ProblemDocument:
     """Parse and structurally validate a problem document.
-
-    option_overrides ({"order": ..., "degree": ...}; None is absent) replace
-    the document's options, and errors then name the flag.
 
     data may be JSON text or an already-decoded dict. Algebraic axioms are
     not checked here; callers run validation and refuse invalid inputs
@@ -311,11 +303,12 @@ def parse_problem(
     _expect(isinstance(data, dict), "document", "expected a JSON object")
 
     options_raw = data.get("options")
-    if options_raw is not None:
-        _expect(isinstance(options_raw, dict), "options", "expected an object")
-    guardrails = _merge_guardrails(options_raw, guardrail_overrides)
+    if options_raw is None:
+        options_raw = {}
+    _object(options_raw, "options", ("order", "degree", "guardrails"))
+    guardrails = _parse_guardrails(options_raw.get("guardrails"))
 
-    field_name = field_override or data.get("field")
+    field_name = data.get("field")
     if field_name is None:
         raise InputError("field: missing (use \"Q\" or \"Fp\" with p prime)")
     if not isinstance(field_name, str):
@@ -327,15 +320,11 @@ def parse_problem(
 
     options = Options()
     for key, minimum in (("order", 1), ("degree", 0)):
-        value, path = (option_overrides or {}).get(key), f"--{key}"
-        if value is None:
-            if options_raw is None or key not in options_raw:
-                continue
-            value, path = options_raw[key], f"options.{key}"
-        cap = getattr(guardrails, key)
-        if _int(value, path, minimum=minimum) > cap:
-            raise InputError(f"{path}: {value} exceeds the guardrail {cap}")
-        setattr(options, key, value)
+        if key in options_raw:
+            value, path, cap = options_raw[key], f"options.{key}", getattr(guardrails, key)
+            if _int(value, path, minimum=minimum) > cap:
+                raise InputError(f"{path}: {value} exceeds the guardrail {cap}")
+            setattr(options, key, value)
 
     cochain = data.get("cochain")
     if cochain is not None:
@@ -355,7 +344,7 @@ def parse_problem(
         automorphism = decode_automorphism(module, automorphism, guardrails)
 
     return ProblemDocument(
-        field, algebra, module, cochain, deformation, deformation2, automorphism,
+        algebra, module, cochain, deformation, deformation2, automorphism,
         options, guardrails,
     )
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import inspect
 import io
 import json
 import os
@@ -75,10 +76,10 @@ def run_module(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "moddef", *args], capture_output=True, env=env, **kwargs)
 
 
-def run_cli(tmp_path, command, doc, *flags, name="problem"):
+def run_cli(tmp_path, command, doc, name="problem"):
     in_path = write_doc(tmp_path, name, doc)
     out_path = tmp_path / f"out_{command}_{name}.json"
-    code = main([command, str(in_path), "--output", str(out_path), *flags])
+    code = main([command, str(in_path), "--output", str(out_path)])
     result = json.loads(out_path.read_text()) if out_path.exists() else None
     return code, result, out_path
 
@@ -119,10 +120,8 @@ def test_non_prime_field_rejected():
 def test_missing_field_rejected():
     doc = copy.deepcopy(FIXTURE_DOCS["A"])
     del doc["field"]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^field: missing"):
         docs.parse_problem(json.dumps(doc))
-    # the CLI flag can supply it
-    assert docs.parse_problem(json.dumps(doc), field_override="Q") is not None
 
 
 def test_guardrails_fail_fast():
@@ -142,8 +141,21 @@ def test_guardrails_fail_fast():
 def test_guardrail_override_admits_larger_order():
     doc = copy.deepcopy(FIXTURE_DOCS["A"])
     doc["options"]["order"] = 17
-    parsed = docs.parse_problem(json.dumps(doc), guardrail_overrides={"order": 20})
+    doc["options"]["guardrails"] = {"order": 20}
+    parsed = docs.parse_problem(json.dumps(doc))
     assert parsed.options.order == 17
+
+
+def test_unknown_option_keys_are_refused(tmp_path, capsys):
+    doc = copy.deepcopy(FIXTURE_DOCS["A"])
+    doc["options"] = {"degre": 1}
+    with pytest.raises(InputError, match=r"^options: unknown keys \['degre'\]$"):
+        docs.parse_problem(json.dumps(doc))
+    in_path = write_doc(tmp_path, "degre", doc)
+    assert main(["cohomology", str(in_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: options: unknown keys ['degre']\n"
+    assert captured.out == ""
 
 
 def test_cochain_degree_guardrail():
@@ -152,7 +164,8 @@ def test_cochain_degree_guardrail():
     with pytest.raises(InputError) as err:
         docs.parse_problem(json.dumps(doc))
     assert "guardrail" in str(err.value)
-    parsed = docs.parse_problem(json.dumps(doc), guardrail_overrides={"degree": 5})
+    doc["options"]["guardrails"] = {"degree": 5}
+    parsed = docs.parse_problem(json.dumps(doc))
     assert parsed.cochain.degree == 4
 
 
@@ -214,7 +227,8 @@ def test_validate_message_prints_canonical_scalars(tmp_path, field, expected):
     doc = copy.deepcopy(FIXTURE_DOCS["A"])
     # 1 * x = x/2 breaks (e0 e0) e1 = e0 (e0 e1)
     doc["algebra"]["structure"][0][1] = ["0", "1/2"]
-    code, result, _ = run_cli(tmp_path, "validate", doc, "--field", field)
+    doc["field"] = field
+    code, result, _ = run_cli(tmp_path, "validate", doc)
     assert code == 1
     messages = [v["message"] for v in result["report"]["algebra"]]
     assert f"(e0 e0) e1 != e0 (e0 e1): {expected}" in messages
@@ -237,6 +251,27 @@ def test_module_axioms_are_computed_once(tmp_path, monkeypatch, command):
     code, result, _ = run_cli(tmp_path, command, FIXTURE_DOCS["C"], name="C")
     assert code == 0 and result["command"] == command
     assert len(passes) == 1
+
+
+@pytest.mark.parametrize("command", ["cohomology", "rigidity"])
+def test_algebra_axioms_are_computed_once(monkeypatch, command):
+    # cli.run and cohomology both refuse an invalid algebra, from one pass
+    calls = []
+    expand = algebra._expand
+
+    def counting(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(algebra, "_expand", counting)
+    text = json.dumps(FIXTURE_DOCS["B"])
+    _, code = run(command, docs.parse_problem(text))
+    assert code == 0
+    one_pass = len(calls)
+    problem = docs.parse_problem(text)
+    algebra.validate_algebra(problem.algebra)
+    algebra.validate_module(problem.module)
+    assert len(calls) == 2 * one_pass
 
 
 def test_invalid_algebra_blocks_other_commands(tmp_path, capsys):
@@ -303,7 +338,7 @@ def test_witness_absent_certificate_rechecks(tmp_path):
     problem = docs.parse_problem(json.dumps(FIXTURE_DOCS["A"]))
     from moddef.cochain import differential_matrix
 
-    field = problem.field
+    field = problem.module.field
     y = [field.parse(v) for v in cert["functional"]]
     d = differential_matrix(problem.module, 0)
     assert all(v == field.zero for v in matvec(d.transpose(), y))
@@ -406,11 +441,12 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     + [("degree", 17)],
 )
 def test_guardrail_flags_must_be_positive(tmp_path, capsys, flag, value):
-    in_path = write_doc(tmp_path, "B", FIXTURE_DOCS["B"])
-    assert main(["validate", str(in_path), f"--guardrail-{flag}", str(value)]) == 2
+    key = flag.replace("-", "_")
+    in_path = write_doc(tmp_path, "B", {**FIXTURE_DOCS["B"], "options": {"guardrails": {key: value}}})
+    assert main(["validate", str(in_path)]) == 2
     captured = capsys.readouterr()
     bound = "<= 16" if value > 0 else ">= 1"
-    assert captured.err.startswith(f"error: --guardrail-{flag}: must be {bound}")
+    assert captured.err.startswith(f"error: options.guardrails.{key}: must be {bound}")
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -426,29 +462,18 @@ def test_guardrail_flags_must_be_positive(tmp_path, capsys, flag, value):
     ],
 )
 def test_order_and_degree_flags_are_checked_once(tmp_path, capsys, flag, value, message):
-    in_path = write_doc(tmp_path, "C", FIXTURE_DOCS["C"])
-    assert main(["integrate", str(in_path), f"--{flag}", str(value)]) == 2
+    in_path = write_doc(tmp_path, "C", {**FIXTURE_DOCS["C"], "options": {flag: value}})
+    assert main(["integrate", str(in_path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: --{flag}: {message}\n"
+    assert captured.err == f"error: options.{flag}: {message}\n"
     assert captured.out == ""
-
-
-def test_order_and_degree_flags_replace_the_document_values(tmp_path):
-    doc = copy.deepcopy(FIXTURE_DOCS["C"])
-    doc["options"] = {"order": 20, "degree": 9}  # both over their guardrails
-    code, result, _ = run_cli(tmp_path, "integrate", doc, "--order", "5", "--degree", "1")
-    assert code == 0 and result["order"] == 5
-    code, result, _ = run_cli(tmp_path, "cohomology", doc, "--order", "5", "--degree", "1")
-    assert code == 0 and sorted(result["dims"]) == ["H0", "H1"]
-    with pytest.raises(InputError, match=r"^options\.order: 20 exceeds the guardrail 16$"):
-        docs.parse_problem(json.dumps(doc), option_overrides={"degree": 1})
 
 
 @pytest.mark.parametrize("modulus", ["318665857834031151167461", "3317044064679887385961981"])
 def test_strong_pseudoprime_moduli_are_refused(tmp_path, capsys, modulus):
     # both composites pass Miller-Rabin to the bases 2..37
-    in_path = write_doc(tmp_path, "A", FIXTURE_DOCS["A"])
-    assert main(["cohomology", str(in_path), "--field", "F" + modulus]) == 2
+    in_path = write_doc(tmp_path, "A", {**FIXTURE_DOCS["A"], "field": "F" + modulus})
+    assert main(["cohomology", str(in_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: field modulus must be below 318665857834031151167461")
     assert captured.out == ""
@@ -467,13 +492,14 @@ def test_degree_guardrail_is_bounded(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: options.guardrails.degree: must be <= 16"
     )
-    del doc["options"]
+    doc["options"] = {"degree": 1200, "guardrails": {"degree": 1200}}
     in_path = write_doc(tmp_path, "line", doc)
     start = time.perf_counter()
-    assert main(["cohomology", str(in_path), "--degree", "1200", "--guardrail-degree", "1200"]) == 2
+    assert main(["cohomology", str(in_path)]) == 2
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err.startswith("error: --guardrail-degree: must be <= 16")
-    code, result, _ = run_cli(tmp_path, "cohomology", doc, "--degree", "16", "--guardrail-degree", "16")
+    assert capsys.readouterr().err.startswith("error: options.guardrails.degree: must be <= 16")
+    doc["options"] = {"degree": 16, "guardrails": {"degree": 16}}
+    code, result, _ = run_cli(tmp_path, "cohomology", doc)
     assert code == 0
     assert result["dims"] == {f"H{n}": int(n == 0) for n in range(17)}
 
@@ -482,9 +508,14 @@ def test_oversized_differential_exits_2(tmp_path, capsys):
     # within the default guardrails (dims 8 and 6, degree 3), but d_2 alone
     # would have 18432 x 2304 cells
     alg, mod = projector_module(8, (1, 1, 1, 1, 1, 1, 0, 0))
-    doc = {"field": "Q", "algebra": docs.encode_algebra(alg), "module": docs.encode_module(mod)}
+    doc = {
+        "field": "Q",
+        "algebra": docs.encode_algebra(alg),
+        "module": docs.encode_module(mod),
+        "options": {"degree": 3},
+    }
     in_path = write_doc(tmp_path, "projectors", doc)
-    assert main(["cohomology", str(in_path), "--degree", "3"]) == 2
+    assert main(["cohomology", str(in_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "18432x2304" in captured.err
@@ -600,16 +631,11 @@ def test_integrate_requires_order(tmp_path, capsys):
     in_path = write_doc(tmp_path, "noorder", doc)
     assert main(["integrate", str(in_path)]) == 2
     assert "order" in capsys.readouterr().err
+    doc["options"] = {"order": 3}
+    in_path = write_doc(tmp_path, "order3", doc)
     out = tmp_path / "ok.json"
-    assert main(["integrate", str(in_path), "--order", "3", "--output", str(out)]) == 0
+    assert main(["integrate", str(in_path), "--output", str(out)]) == 0
     assert json.loads(out.read_text())["order"] == 3
-
-
-def test_field_flag_overrides_document(tmp_path):
-    doc = copy.deepcopy(FIXTURE_DOCS["A"])
-    code, result, _ = run_cli(tmp_path, "cohomology", doc, "--field", "F5")
-    assert code == 0
-    assert result["dims"] == {"H0": 1, "H1": 1, "H2": 1}
 
 
 def test_stdin_input(monkeypatch, capsys):
@@ -628,18 +654,13 @@ def test_cli_surface_is_pinned():
         ("help", ["-h", "--help"]),
         ("command", []),
         ("input", []),
-        ("field", ["--field"]),
-        ("order", ["--order"]),
-        ("degree", ["--degree"]),
         ("output", ["--output"]),
         ("fixtures", ["--fixtures"]),
-        ("g_dim_r", ["--guardrail-dim-r"]),
-        ("g_dim_m", ["--guardrail-dim-m"]),
-        ("g_order", ["--guardrail-order"]),
-        ("g_degree", ["--guardrail-degree"]),
     ]
     (command,) = [a for a in parser._actions if a.dest == "command"]
     assert list(command.choices) == list(ALL_COMMANDS)
+    # every other value is read from the problem document alone
+    assert list(inspect.signature(docs.parse_problem).parameters) == ["data"]
 
 
 # --- canonical scalars ------------------------------------------------------------
@@ -677,9 +698,8 @@ def test_fixture_results_print_canonical_scalars(tmp_path, field):
     checked = 0
     for fixture in ("A", "B", "C"):
         for command in ALL_COMMANDS:
-            code, result, _ = run_cli(
-                tmp_path, command, FIXTURE_DOCS[fixture], "--field", field, name=fixture
-            )
+            doc = {**FIXTURE_DOCS[fixture], "field": field}
+            code, result, _ = run_cli(tmp_path, command, doc, name=fixture)
             assert code in (0, 1), (command, fixture)
             checked += _assert_canonical_scalars(field_from_name(field), result)
     assert checked > 100
@@ -708,12 +728,12 @@ def _random_document(rng, cocycle):
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(["Q", "F13"]), cocycle=st.booleans())
 def test_random_pair_results_print_canonical_scalars(seed, field, cocycle):
-    text = docs.canonical_json(_random_document(random.Random(seed), cocycle))
+    text = docs.canonical_json({**_random_document(random.Random(seed), cocycle), "field": field})
     checked = 0
     for command in ALL_COMMANDS:
         if command == "integrate" and not cocycle:
             continue  # the seed of integrate must be a cocycle
-        result, _ = run(command, docs.parse_problem(text, field))
+        result, _ = run(command, docs.parse_problem(text))
         result = json.loads(docs.canonical_json(result))
         checked += _assert_canonical_scalars(field_from_name(field), result)
     assert checked > 0

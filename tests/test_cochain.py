@@ -26,7 +26,7 @@ from helpers import (
     reference_solve,
 )
 from moddef import _backend, cochain
-from moddef.algebra import Module
+from moddef.algebra import Algebra, Module, validate_algebra, validate_module
 from moddef.cochain import (
     Cochain,
     coboundary_witness,
@@ -777,6 +777,27 @@ def test_cohomology_refuses_an_invalid_module():
     for check in (lambda m: cohomology(m, 1), rigidity_check):
         with pytest.raises(InputError, match=r"^invalid module: action\(e0\) action\(e0\)"):
             check(Module(alg, action))
+
+
+def test_cohomology_refuses_an_invalid_algebra():
+    """Basis (1, x, y) with x x = y, x y = y and every other product of x
+    and y zero is not associative, yet 1 -> I, x, y -> 0 satisfies every
+    module axiom on Q^2. There d_2 d_1 has 8 nonzero entries, so the
+    cohomology it would report (8 cocycles, 8 coboundaries) means
+    nothing."""
+    e = [[Fraction(int(i == k)) for i in range(3)] for k in range(3)]
+    zero = [Fraction(0)] * 3
+    alg = Algebra(QQ, [[e[0], e[1], e[2]], [e[1], e[2], e[2]], [e[2], zero, zero]], e[0])
+    zeros = Matrix.zeros(QQ, 2, 2)
+    mod = Module(alg, [Matrix.identity(QQ, 2), zeros, zeros])
+    assert validate_module(mod) == []
+    assert validate_algebra(alg)[0].message.startswith("(e1 e1) e1 != e1 (e1 e1)")
+    d2, d1 = differential_matrix(mod, 2), differential_matrix(mod, 1)
+    composite = [matvec(d2, col) for col in zip(*d1.data)]
+    assert sum(1 for col in composite for v in col if v) == 8
+    for check in (lambda m: cohomology(m, 2), rigidity_check):
+        with pytest.raises(InputError, match=r"^invalid algebra: \(e1 e1\) e1 != e1 \(e1 e1\)"):
+            check(mod)
 
 
 @settings(max_examples=60, deadline=None)
