@@ -60,7 +60,7 @@ def build_parser():
 
 
 def _require(problem, name):
-    value = getattr(problem, name.replace("-", "_"))
+    value = getattr(problem, name)
     if value is None:
         raise InputError(f"command needs a '{name}' payload in the document")
     return value
@@ -99,7 +99,7 @@ def run(command, problem: doc.ProblemDocument):
     problem."""
     result = {"command": command}
     if command == "validate":
-        alg_issues = validate_algebra(problem.algebra)
+        alg_issues = validate_algebra(problem.module.algebra)
         mod_issues = validate_module(problem.module)
         ok = not alg_issues and not mod_issues
         result["verdict"] = "valid" if ok else "invalid"
@@ -113,7 +113,7 @@ def run(command, problem: doc.ProblemDocument):
     require_valid(module)
 
     if command == "cohomology":
-        top = problem.options.degree if problem.options.degree is not None else 2
+        top = problem.degree if problem.degree is not None else 2
         cap = problem.guardrails.degree
         if top > cap:
             raise ResourceError(f"degree {top} exceeds the guardrail {cap}")
@@ -173,7 +173,7 @@ def run(command, problem: doc.ProblemDocument):
 
     if command == "integrate":
         sigma = _require(problem, "cochain")
-        order = problem.options.order
+        order = problem.order
         if order is None:
             raise InputError("integrate needs a truncation order (options.order)")
         out = integrate(sigma, order)
@@ -260,8 +260,8 @@ def _read_input(path):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None and not args.fixtures:
-        parser.error("a command is required (or use --fixtures)")
+    if (args.command is None) != args.fixtures:
+        parser.error("give either a command or --fixtures")
 
     try:
         if args.fixtures:

@@ -8,8 +8,9 @@ are rejected. Output is canonical: sorted keys, fixed indentation,
 canonical scalar strings, entries in coordinate order, so identical inputs
 produce byte-identical documents.
 
-Parse errors name the JSON path of the first violation, and guardrails
-fail fast before any solver runs.
+Parse errors name the JSON path of the first violation. Every object
+refuses a key it does not know, and guardrails fail fast before any
+solver runs.
 """
 
 import json
@@ -38,20 +39,14 @@ MAX_DEGREE_GUARDRAIL = 16
 
 
 @dataclass
-class Options:
-    order: int | None = None
-    degree: int | None = None
-
-
-@dataclass
 class ProblemDocument:
-    algebra: Algebra
     module: Module
     cochain: Cochain | None
     deformation: ApproximateDeformation | None
     deformation2: ApproximateDeformation | None
     automorphism: FormalAutomorphism | None
-    options: Options
+    order: int | None
+    degree: int | None
     guardrails: Guardrails
 
 
@@ -60,34 +55,38 @@ def _expect(cond, path, message):
         raise InputError(f"{path}: {message}")
 
 
-def _get(data, key, path):
-    if key not in data:
-        raise InputError(f"{path}.{key}: missing")
-    return data[key]
-
-
-def _int(value, path, minimum=None, maximum=None):
-    _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
-    if minimum is not None:
-        _expect(value >= minimum, path, f"must be >= {minimum}")
-    if maximum is not None:
-        _expect(value <= maximum, path, f"must be <= {maximum}")
-    return value
-
-
-def decode_scalar(field, value, path):
-    if not isinstance(value, str):
-        raise InputError(f"{path}: scalars must be strings, got {type(value).__name__}")
+def _fields(raw, path, required, optional=()):
+    """The values of raw's required keys, then of its optional ones (None
+    when absent); refused unless raw is an object with every required key
+    and no key but these."""
+    _expect(isinstance(raw, dict), path, "expected an object")
+    unknown = set(raw).difference(required, optional)
+    if unknown:
+        raise InputError(f"{path}: unknown keys {sorted(unknown)}")
     try:
-        return field.parse(value)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        return [*map(raw.__getitem__, required), *map(raw.get, optional)]
+    except KeyError as exc:
+        raise InputError(f"{path}.{exc.args[0]}: missing") from None
+
+
+def _int(value, path, minimum, guardrail=None):
+    _expect(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
+    _expect(value >= minimum, path, f"must be >= {minimum}")
+    if guardrail is not None:
+        _expect(value <= guardrail, path, f"{value} exceeds the guardrail {guardrail}")
+    return value
 
 
 def decode_vector(field, value, length, path):
     _expect(isinstance(value, list), path, "expected a list of scalars")
     _expect(len(value) == length, path, f"expected length {length}, got {len(value)}")
-    return [decode_scalar(field, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    scalars = []
+    for i, v in enumerate(value):
+        try:
+            scalars.append(field.parse(v))
+        except InputError as exc:
+            raise InputError(f"{path}[{i}]: {exc}") from None
+    return scalars
 
 
 def decode_matrix(field, value, nrows, ncols, path):
@@ -106,13 +105,8 @@ def encode_matrix(mat: Matrix):
 
 
 def decode_algebra(field, data, guardrails, path="algebra"):
-    _expect(isinstance(data, dict), path, "expected an object")
-    dim = _int(_get(data, "dim", path), f"{path}.dim", minimum=1)
-    if dim > guardrails.dim_r:
-        raise InputError(
-            f"{path}.dim: algebra dimension {dim} exceeds the guardrail {guardrails.dim_r}"
-        )
-    structure = _get(data, "structure", path)
+    dim, structure, unit, labels = _fields(data, path, ("dim", "structure", "unit"), ("labels",))
+    dim = _int(dim, f"{path}.dim", 1, guardrails.dim_r)
     _expect(isinstance(structure, list) and len(structure) == dim, f"{path}.structure",
             f"expected {dim} rows")
     rows = []
@@ -122,8 +116,7 @@ def decode_algebra(field, data, guardrails, path="algebra"):
         rows.append(
             [decode_vector(field, v, dim, f"{path}.structure[{i}][{j}]") for j, v in enumerate(row)]
         )
-    unit = decode_vector(field, _get(data, "unit", path), dim, f"{path}.unit")
-    labels = data.get("labels")
+    unit = decode_vector(field, unit, dim, f"{path}.unit")
     if labels is not None:
         _expect(isinstance(labels, list) and all(isinstance(s, str) for s in labels),
                 f"{path}.labels", "expected a list of strings")
@@ -146,13 +139,8 @@ def encode_algebra(a: Algebra):
 
 
 def decode_module(algebra, data, guardrails, path="module"):
-    _expect(isinstance(data, dict), path, "expected an object")
-    dim = _int(_get(data, "dim", path), f"{path}.dim", minimum=1)
-    if dim > guardrails.dim_m:
-        raise InputError(
-            f"{path}.dim: module dimension {dim} exceeds the guardrail {guardrails.dim_m}"
-        )
-    action = _get(data, "action", path)
+    dim, action = _fields(data, path, ("dim", "action"))
+    dim = _int(dim, f"{path}.dim", 1, guardrails.dim_m)
     _expect(isinstance(action, list) and len(action) == algebra.dim, f"{path}.action",
             f"expected {algebra.dim} matrices")
     mats = [
@@ -171,27 +159,23 @@ def decode_cochain_entries(module, data, degree, path):
     entries = {}
     for i, item in enumerate(data):
         ipath = f"{path}[{i}]"
-        _expect(isinstance(item, dict), ipath, "expected an object")
-        tup = _get(item, "tuple", ipath)
+        tup, matrix = _fields(item, ipath, ("tuple", "matrix"))
         _expect(isinstance(tup, list) and len(tup) == degree, f"{ipath}.tuple",
                 f"expected {degree} indices")
-        key = tuple(_int(t, f"{ipath}.tuple[{j}]", minimum=0) for j, t in enumerate(tup))
+        key = tuple(_int(t, f"{ipath}.tuple[{j}]", 0) for j, t in enumerate(tup))
         for j, t in enumerate(key):
             _expect(t < module.algebra.dim, f"{ipath}.tuple[{j}]",
                     f"index {t} outside basis of size {module.algebra.dim}")
         if key in entries:
             raise InputError(f"{ipath}.tuple: duplicate tuple {list(key)}")
-        entries[key] = decode_matrix(
-            module.field, _get(item, "matrix", ipath), module.dim, module.dim, f"{ipath}.matrix"
-        )
+        entries[key] = decode_matrix(module.field, matrix, module.dim, module.dim, f"{ipath}.matrix")
     return entries
 
 
-def decode_cochain(module, data, path="cochain"):
-    _expect(isinstance(data, dict), path, "expected an object")
-    degree = _int(_get(data, "degree", path), f"{path}.degree", minimum=0)
-    entries = decode_cochain_entries(module, _get(data, "entries", path), degree, f"{path}.entries")
-    return Cochain(module, degree, entries)
+def decode_cochain(module, data, guardrails, path="cochain"):
+    degree, entries = _fields(data, path, ("degree", "entries"))
+    degree = _int(degree, f"{path}.degree", 0, guardrails.degree)
+    return Cochain(module, degree, decode_cochain_entries(module, entries, degree, f"{path}.entries"))
 
 
 def encode_cochain(f: Cochain):
@@ -205,11 +189,8 @@ def encode_cochain(f: Cochain):
 
 
 def decode_deformation(module, data, guardrails, path="deformation"):
-    _expect(isinstance(data, dict), path, "expected an object")
-    order = _int(_get(data, "order", path), f"{path}.order", minimum=0)
-    if order > guardrails.order:
-        raise InputError(f"{path}.order: order {order} exceeds the guardrail {guardrails.order}")
-    terms = _get(data, "terms", path)
+    order, terms = _fields(data, path, ("order", "terms"))
+    order = _int(order, f"{path}.order", 0, guardrails.order)
     _expect(isinstance(terms, list) and len(terms) == order, f"{path}.terms",
             f"expected {order} terms")
     cochains = [
@@ -227,13 +208,9 @@ def encode_deformation(d: ApproximateDeformation):
 
 
 def decode_automorphism(module, data, guardrails, path="automorphism"):
-    _expect(isinstance(data, dict), path, "expected an object")
-    terms = _get(data, "terms", path)
+    (terms,) = _fields(data, path, ("terms",))
     _expect(isinstance(terms, list), f"{path}.terms", "expected a list of matrices")
-    if len(terms) > guardrails.order:
-        raise InputError(
-            f"{path}.terms: order {len(terms)} exceeds the guardrail {guardrails.order}"
-        )
+    _int(len(terms), f"{path}.terms", 0, guardrails.order)
     mats = [
         decode_matrix(module.field, t, module.dim, module.dim, f"{path}.terms[{i}]")
         for i, t in enumerate(terms)
@@ -267,24 +244,25 @@ def encode_obstruction_outcome(out: ObstructionOutcome):
     }
 
 
-def _object(raw, path, keys):
-    """raw, refused unless it is an object with no keys but these."""
-    _expect(isinstance(raw, dict), path, "expected an object")
-    unknown = set(raw) - set(keys)
-    if unknown:
-        raise InputError(f"{path}: unknown keys {sorted(unknown)}")
-    return raw
-
-
 def _parse_guardrails(raw):
     """options.guardrails over the defaults: each must be >= 1, and the
     degree at most MAX_DEGREE_GUARDRAIL."""
     if raw is None:
         return DEFAULT_GUARDRAILS
-    raw = _object(raw, "options.guardrails", ("dim_r", "dim_m", "order", "degree"))
-    top = {"degree": MAX_DEGREE_GUARDRAIL}
-    fields = {k: _int(v, f"options.guardrails.{k}", 1, top.get(k)) for k, v in raw.items()}
-    return replace(DEFAULT_GUARDRAILS, **fields)
+    _fields(raw, "options.guardrails", (), ("dim_r", "dim_m", "order", "degree"))
+    caps = {k: _int(v, f"options.guardrails.{k}", 1) for k, v in raw.items()}
+    _expect(caps.get("degree", 1) <= MAX_DEGREE_GUARDRAIL, "options.guardrails.degree",
+            f"must be <= {MAX_DEGREE_GUARDRAIL}")
+    return replace(DEFAULT_GUARDRAILS, **caps)
+
+
+# the optional payloads of a problem document, by key, with their decoders
+_PAYLOADS = {
+    "cochain": decode_cochain,
+    "deformation": decode_deformation,
+    "deformation2": decode_deformation,
+    "automorphism": decode_automorphism,
+}
 
 
 def parse_problem(data) -> ProblemDocument:
@@ -300,53 +278,30 @@ def parse_problem(data) -> ProblemDocument:
             raise InputError("malformed JSON: nested too deeply") from None
         except ValueError as exc:  # bad syntax, bad UTF-8 bytes, overlong integers
             raise InputError(f"malformed JSON: {exc}") from None
-    _expect(isinstance(data, dict), "document", "expected a JSON object")
+    algebra, module, field_name, options, *payloads = _fields(
+        data, "document", ("algebra", "module"), ("field", "options", *_PAYLOADS)
+    )
+    options = {} if options is None else options
+    _, _, guardrails = _fields(options, "options", (), ("order", "degree", "guardrails"))
+    guardrails = _parse_guardrails(guardrails)
+    # an absent option is None, a null one is refused
+    order, degree = (
+        _int(options[key], f"options.{key}", minimum, getattr(guardrails, key))
+        if key in options else None
+        for key, minimum in (("order", 1), ("degree", 0))
+    )
 
-    options_raw = data.get("options")
-    if options_raw is None:
-        options_raw = {}
-    _object(options_raw, "options", ("order", "degree", "guardrails"))
-    guardrails = _parse_guardrails(options_raw.get("guardrails"))
-
-    field_name = data.get("field")
     if field_name is None:
         raise InputError("field: missing (use \"Q\" or \"Fp\" with p prime)")
     if not isinstance(field_name, str):
         raise InputError("field: expected a string")
-    field = field_from_name(field_name)
-
-    algebra = decode_algebra(field, _get(data, "algebra", "document"), guardrails)
-    module = decode_module(algebra, _get(data, "module", "document"), guardrails)
-
-    options = Options()
-    for key, minimum in (("order", 1), ("degree", 0)):
-        if key in options_raw:
-            value, path, cap = options_raw[key], f"options.{key}", getattr(guardrails, key)
-            if _int(value, path, minimum=minimum) > cap:
-                raise InputError(f"{path}: {value} exceeds the guardrail {cap}")
-            setattr(options, key, value)
-
-    cochain = data.get("cochain")
-    if cochain is not None:
-        cochain = decode_cochain(module, cochain)
-        if cochain.degree > guardrails.degree:
-            raise InputError(
-                f"cochain.degree: {cochain.degree} exceeds the guardrail {guardrails.degree}"
-            )
-    deformation = data.get("deformation")
-    if deformation is not None:
-        deformation = decode_deformation(module, deformation, guardrails)
-    deformation2 = data.get("deformation2")
-    if deformation2 is not None:
-        deformation2 = decode_deformation(module, deformation2, guardrails, path="deformation2")
-    automorphism = data.get("automorphism")
-    if automorphism is not None:
-        automorphism = decode_automorphism(module, automorphism, guardrails)
-
-    return ProblemDocument(
-        algebra, module, cochain, deformation, deformation2, automorphism,
-        options, guardrails,
-    )
+    algebra = decode_algebra(field_from_name(field_name), algebra, guardrails)
+    module = decode_module(algebra, module, guardrails)
+    payloads = {
+        key: None if raw is None else decode(module, raw, guardrails, key)
+        for (key, decode), raw in zip(_PAYLOADS.items(), payloads)
+    }
+    return ProblemDocument(module, order=order, degree=degree, guardrails=guardrails, **payloads)
 
 
 def canonical_json(obj) -> str:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import InputError
 
-_SCALAR_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_SCALAR_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # Miller-Rabin with the first twelve primes as witnesses decides every n
 # below psi_12 = 318665857834031151167461 = 399165290221 * 798330580441, the
@@ -58,7 +58,7 @@ def is_prime(n: int) -> bool:
 def _split(text: str):
     if not isinstance(text, str):
         raise InputError(f"scalar must be a string, got {type(text).__name__}")
-    if not _SCALAR_RE.match(text):
+    if not _SCALAR_RE.fullmatch(text):
         raise InputError(f"bad scalar syntax: {text!r}")
     num, _, den = text.partition("/")
     try:
@@ -142,7 +142,7 @@ def field_from_name(name: str):
     """Resolve a field spec string: "Q", or "F<p>" with p prime."""
     if name == "Q":
         return QQ
-    m = re.match(r"^F([0-9]+)$", name)
+    m = re.fullmatch(r"F([0-9]+)", name)
     if not m:
         raise InputError(f"unknown field spec {name!r} (expected 'Q' or 'Fp')")
     try:

@@ -29,7 +29,7 @@ from moddef import algebra
 from moddef import documents as docs
 from moddef.cli import build_parser, main, run
 from moddef.deformation import ApproximateDeformation, check_deformation
-from moddef.errors import InputError
+from moddef.errors import InputError, ResourceError
 from moddef.fields import QQ, field_from_name
 from moddef.fixtures import fixture_documents
 
@@ -143,18 +143,42 @@ def test_guardrail_override_admits_larger_order():
     doc["options"]["order"] = 17
     doc["options"]["guardrails"] = {"order": 20}
     parsed = docs.parse_problem(json.dumps(doc))
-    assert parsed.options.order == 17
+    assert parsed.order == 17
 
 
-def test_unknown_option_keys_are_refused(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "keys,added,message",
+    [
+        pytest.param((), "option", "document: unknown keys ['option']", id="document"),
+        pytest.param(("options",), "degre", "options: unknown keys ['degre']", id="options"),
+        pytest.param(("options", "guardrails"), "dim", "options.guardrails: unknown keys ['dim']",
+                     id="guardrails"),
+        pytest.param(("algebra",), "lables", "algebra: unknown keys ['lables']", id="algebra"),
+        pytest.param(("module",), "name", "module: unknown keys ['name']", id="module"),
+        pytest.param(("cochain",), "terms", "cochain: unknown keys ['terms']", id="cochain"),
+        pytest.param(("cochain", "entries", 0), "matrices",
+                     "cochain.entries[0]: unknown keys ['matrices']", id="entry"),
+        pytest.param(("deformation2",), "degree", "deformation2: unknown keys ['degree']",
+                     id="deformation2"),
+        pytest.param(("automorphism",), "order", "automorphism: unknown keys ['order']",
+                     id="automorphism"),
+    ],
+)
+def test_unknown_option_keys_are_refused(tmp_path, capsys, keys, added, message):
+    """Every object of a problem document, from the document itself down to
+    one cochain entry, refuses a key it does not know."""
     doc = copy.deepcopy(FIXTURE_DOCS["A"])
-    doc["options"] = {"degre": 1}
-    with pytest.raises(InputError, match=r"^options: unknown keys \['degre'\]$"):
+    doc["options"]["guardrails"] = {}
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[added] = 1
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         docs.parse_problem(json.dumps(doc))
-    in_path = write_doc(tmp_path, "degre", doc)
+    in_path = write_doc(tmp_path, "unknown", doc)
     assert main(["cohomology", str(in_path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: options: unknown keys ['degre']\n"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
@@ -269,7 +293,7 @@ def test_algebra_axioms_are_computed_once(monkeypatch, command):
     assert code == 0
     one_pass = len(calls)
     problem = docs.parse_problem(text)
-    algebra.validate_algebra(problem.algebra)
+    algebra.validate_algebra(problem.module.algebra)
     algebra.validate_module(problem.module)
     assert len(calls) == 2 * one_pass
 
@@ -375,7 +399,7 @@ def test_payload_round_trip(tmp_path):
 
     code, result, _ = run_cli(tmp_path, "coboundary", FIXTURE_DOCS["C"], name="C")
     payload = result["witness"]
-    decoded = docs.decode_cochain(problem.module, payload)
+    decoded = docs.decode_cochain(problem.module, payload, problem.guardrails)
     assert docs.encode_cochain(decoded) == payload
 
 
@@ -592,6 +616,46 @@ def test_mutated_documents_never_crash(command, fixture, data):
     _assert_ends_cleanly(command, json.dumps(doc).encode())
 
 
+# every key of the problem-document format, at any depth
+_KNOWN_KEYS = {
+    "field", "algebra", "module", "options", "cochain", "deformation", "deformation2",
+    "automorphism", "dim", "structure", "unit", "labels", "action", "degree", "entries",
+    "tuple", "matrix", "order", "terms", "guardrails", "dim_r", "dim_m",
+}
+
+
+@settings(max_examples=100)
+@given(fixture=st.sampled_from(sorted(FIXTURE_DOCS)), data=st.data())
+def test_fuzzed_documents_end_in_a_result_or_a_refusal(fixture, data):
+    """A fixture document with one node replaced by any JSON value, one key
+    deleted or one key renamed to a name the format does not know: every
+    command, run in process, returns a result with exit 0 or 1 or raises
+    InputError or ResourceError, and a renamed key is refused as unknown."""
+    doc = copy.deepcopy(FIXTURE_DOCS[fixture])
+    rng = data.draw(st.randoms(use_true_random=True))
+    kind = rng.choice(("replace", "delete", "rename"))
+    if kind == "replace":
+        path = rng.choice([p for p, _ in _paths(doc)])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(_JSON)
+    else:
+        obj = rng.choice([doc] + [v for _, v in _paths(doc) if isinstance(v, dict)])
+        value = obj.pop(rng.choice(sorted(obj)))
+        if kind == "rename":
+            obj[data.draw(st.text(max_size=6).filter(lambda k: k not in _KNOWN_KEYS))] = value
+    text = json.dumps(doc)
+    for command in ALL_COMMANDS:
+        try:
+            result, code = run(command, docs.parse_problem(text))
+        except (InputError, ResourceError) as exc:
+            assert kind != "rename" or "unknown keys" in str(exc), exc
+        else:
+            assert kind != "rename", command
+            assert code in (0, 1) and result["command"] == command
+
+
 _JSONISH = st.text('0123456789-/"[]{},:FQ ', min_size=1, max_size=3).map(str.encode)
 _FIXTURE_BYTES = [docs.canonical_json(doc).encode() for doc in FIXTURE_DOCS.values()]
 
@@ -762,3 +826,15 @@ def test_fixtures_flag_and_module_entry_point(tmp_path):
     # the same bytes through the installed module entry point
     proc = run_module("--fixtures", check=True)
     assert proc.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate", "nonexistent.json", "--fixtures"], ["rigidity", "--fixtures"]]
+)
+def test_fixtures_flag_refuses_a_command(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: give either a command or --fixtures" in captured.err
+    assert captured.out == ""

@@ -26,7 +26,7 @@ def test_parse_print_round_trip():
 
 
 def test_rational_rejects_bad_syntax():
-    for bad in ["1/0", "1.5", "1e3", "one", "", "1/-2", "--1", "1/ 2"]:
+    for bad in ["1/0", "1.5", "1e3", "one", "", "1/-2", "--1", "1/ 2", "1\n", "-1/2\n"]:
         with pytest.raises(InputError):
             QQ.parse(bad)
 
@@ -84,6 +84,9 @@ def test_field_from_name():
         field_from_name("R")
     with pytest.raises(InputError):
         field_from_name("F10")
+    for bad in ("F7\n", "Q\n"):
+        with pytest.raises(InputError):
+            field_from_name(bad)
 
 
 @pytest.mark.parametrize("p", [13, 10007, 2**61 - 1])
