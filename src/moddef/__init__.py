@@ -26,7 +26,6 @@ from .cochain import (
 )
 from .deformation import (
     ApproximateDeformation,
-    DeformationViolation,
     FormalAutomorphism,
     ObstructionOutcome,
     RigidityResult,
@@ -52,7 +51,6 @@ __all__ = [
     "ApproximateDeformation",
     "Cochain",
     "CohomologyReport",
-    "DeformationViolation",
     "FormalAutomorphism",
     "InputError",
     "Matrix",

@@ -164,7 +164,7 @@ def validate_algebra(a: Algebra) -> list[Violation]:
                     left = _expand(F, n, ((c, P[l][k]) for l, c in P[i][j]))
                     right = _expand(F, n, ((c, P[i][l]) for l, c in P[j][k]))
                     if left != right:
-                        left, right = (", ".join(map(F.format, v)) for v in (left, right))
+                        left, right = (", ".join(map(str, v)) for v in (left, right))
                         msg = f"(e{i} e{j}) e{k} != e{i} (e{j} e{k}): [{left}] vs [{right}]"
                         out.append(Violation("associativity", (i, j, k), msg))
         unit = [(l, u) for l, u in enumerate(a.unit) if u]

@@ -70,7 +70,7 @@ def _require_deformation(problem, name="deformation"):
     d = _require(problem, name)
     issue = check_deformation(d)
     if issue is not None:
-        raise InputError(f"invalid {name}: {issue}")
+        raise InputError(f"invalid {name}: {issue.message}")
     return d
 
 
@@ -79,11 +79,7 @@ def _certificate(cochain):
     if cert is None:
         return None
     y, pairing = cert
-    field = cochain.module.field
-    return {
-        "functional": doc.encode_vector(field, y),
-        "pairing": field.format(pairing),
-    }
+    return {"functional": doc.encode_vector(y), "pairing": str(pairing)}
 
 
 def _outcome_payload(outcome: ObstructionOutcome):
@@ -113,11 +109,7 @@ def run(command, problem: doc.ProblemDocument):
     require_valid(module)
 
     if command == "cohomology":
-        top = problem.degree if problem.degree is not None else 2
-        cap = problem.guardrails.degree
-        if top > cap:
-            raise ResourceError(f"degree {top} exceeds the guardrail {cap}")
-        reports = [cohomology(module, n) for n in range(top + 1)]
+        reports = [cohomology(module, n) for n in range(problem.degree + 1)]
         result["verdict"] = "computed"
         result["cohomology"] = [doc.encode_cohomology_report(r) for r in reports]
         result["dims"] = {f"H{r.degree}": r.dim_cohomology for r in reports}
@@ -138,7 +130,7 @@ def run(command, problem: doc.ProblemDocument):
             "tuple": list(key),
             "row": r,
             "col": c,
-            "value": module.field.format(value),
+            "value": str(value),
         }
         return result, 1
 
@@ -157,8 +149,8 @@ def run(command, problem: doc.ProblemDocument):
         d = _require_deformation(problem)
         outcome = obstruction_outcome(d)
         result["obstruction_outcome"] = _outcome_payload(outcome)
-        result["verdict"] = "unobstructed" if outcome.class_is_zero else "obstructed"
-        return result, 0 if outcome.class_is_zero else 1
+        result["verdict"] = "obstructed" if outcome.witness is None else "unobstructed"
+        return result, 1 if outcome.witness is None else 0
 
     if command == "extend":
         d = _require_deformation(problem)

@@ -23,7 +23,7 @@ deformation by an automorphism truncates at the deformation's order.
 
 from dataclasses import dataclass
 
-from .algebra import Module, multiplicativity_defects, validate_module
+from .algebra import Module, Violation, multiplicativity_defects, validate_module
 from .cochain import Cochain, CohomologyReport, coboundary_witness, cohomology, is_cocycle
 from .errors import InputError
 from .linalg import Matrix, series_term
@@ -47,9 +47,6 @@ class ApproximateDeformation:
         t^0 is the undeformed action, and absent terms share one zero."""
         key, zero = (basis_index,), self.module.zero_operator()
         return [self.module.action[basis_index]] + [t.entries.get(key, zero) for t in self.terms]
-
-    def extended_with(self, term: Cochain):
-        return ApproximateDeformation(self.module, self.terms + [term])
 
     def is_trivial(self):
         return all(t.is_zero() for t in self.terms)
@@ -115,35 +112,29 @@ class FormalAutomorphism:
         return f"FormalAutomorphism(order={self.order})"
 
 
-@dataclass
-class DeformationViolation:
-    order: int
-    left: int
-    right: int
-
-    def __str__(self):
-        return (
-            f"multiplicativity fails at order {self.order} on basis pair "
-            f"({self.left}, {self.right})"
-        )
-
-
 def check_deformation(d: ApproximateDeformation):
     """Verify the multiplicativity relations for every order up to the
-    truncation; returns None when valid, else the first violation.
+    truncation; returns None when valid, else the first violation, a
+    Violation of kind "deformation" at where = (order, a, b).
 
     Order 0 is the module's own multiplicativity, read from its
     validation. At order n >= 1 the relation is that the order-n
     multiplicativity defect of the deformed actions vanishes; the first
     basis pair where it does not is the violation."""
-    for issue in validate_module(d.module):
-        if issue.kind == "multiplicativity":
-            return DeformationViolation(0, *issue.where)
-    series = [d.series(k) for k in range(d.module.algebra.dim)]
-    for n in range(1, d.order + 1):
-        for (a, b), defect in multiplicativity_defects(d.module, series, n):
-            if not defect.is_zero():
-                return DeformationViolation(n, a, b)
+
+    def failures():
+        for issue in validate_module(d.module):
+            if issue.kind == "multiplicativity":
+                yield (0, *issue.where)
+        series = [d.series(k) for k in range(d.module.algebra.dim)]
+        for n in range(1, d.order + 1):
+            for (a, b), defect in multiplicativity_defects(d.module, series, n):
+                if not defect.is_zero():
+                    yield n, a, b
+
+    for n, a, b in failures():
+        message = f"multiplicativity fails at order {n} on basis pair ({a}, {b})"
+        return Violation("deformation", (n, a, b), message)
     return None
 
 
@@ -167,17 +158,17 @@ def obstruction(d: ApproximateDeformation) -> Cochain:
 @dataclass
 class ObstructionOutcome:
     """witness (when present) is the canonical solution of
-    differential(witness) = -obstruction, i.e. the next term itself."""
+    differential(witness) = -obstruction, i.e. the next term itself; the
+    obstruction class vanishes exactly when it is present."""
 
     obstruction: Cochain
     witness: Cochain | None
-    class_is_zero: bool
 
 
 def obstruction_outcome(d: ApproximateDeformation) -> ObstructionOutcome:
     obs = obstruction(d)
     witness = coboundary_witness(-obs)
-    return ObstructionOutcome(obs, witness, witness is not None)
+    return ObstructionOutcome(obs, witness)
 
 
 def extend_once(d: ApproximateDeformation):
@@ -186,7 +177,7 @@ def extend_once(d: ApproximateDeformation):
     outcome = obstruction_outcome(d)
     if outcome.witness is None:
         return outcome
-    return d.extended_with(outcome.witness)
+    return ApproximateDeformation(d.module, d.terms + [outcome.witness])
 
 
 def integrate(sigma: Cochain, target_order: int):

@@ -5,12 +5,13 @@ module, and optional cochain / deformation / automorphism payloads plus
 options. All scalars travel as strings ("p/q" over the rationals with the
 denominator omitted when 1, decimal residues over a prime field); floats
 are rejected. Output is canonical: sorted keys, fixed indentation,
-canonical scalar strings, entries in coordinate order, so identical inputs
-produce byte-identical documents.
+scalars printed by ``str``, entries in coordinate order, so identical
+inputs produce byte-identical documents.
 
 Parse errors name the JSON path of the first violation. Every object
 refuses a key it does not know, and guardrails fail fast before any
-solver runs.
+solver runs: the parser is the one place that applies them, including
+to the default top degree of cohomology.
 """
 
 import json
@@ -46,8 +47,7 @@ class ProblemDocument:
     deformation2: ApproximateDeformation | None
     automorphism: FormalAutomorphism | None
     order: int | None
-    degree: int | None
-    guardrails: Guardrails
+    degree: int
 
 
 def _expect(cond, path, message):
@@ -96,12 +96,12 @@ def decode_matrix(field, value, nrows, ncols, path):
     return Matrix(field, rows, ncols)
 
 
-def encode_vector(field, vec):
-    return [field.format(v) for v in vec]
+def encode_vector(vec):
+    return list(map(str, vec))
 
 
 def encode_matrix(mat: Matrix):
-    return [[mat.field.format(v) for v in row] for row in mat.data]
+    return [list(map(str, row)) for row in mat.data]
 
 
 def decode_algebra(field, data, guardrails, path="algebra"):
@@ -128,10 +128,10 @@ def encode_algebra(a: Algebra):
     out = {
         "dim": a.dim,
         "structure": [
-            [encode_vector(a.field, a.structure[i][j]) for j in range(a.dim)]
+            [encode_vector(a.structure[i][j]) for j in range(a.dim)]
             for i in range(a.dim)
         ],
-        "unit": encode_vector(a.field, a.unit),
+        "unit": encode_vector(a.unit),
     }
     if a.labels is not None:
         out["labels"] = list(a.labels)
@@ -240,7 +240,7 @@ def encode_obstruction_outcome(out: ObstructionOutcome):
     return {
         "obstruction": encode_cochain(out.obstruction),
         "witness": encode_cochain(out.witness) if out.witness is not None else None,
-        "class_is_zero": out.class_is_zero,
+        "class_is_zero": out.witness is not None,
     }
 
 
@@ -284,11 +284,14 @@ def parse_problem(data) -> ProblemDocument:
     options = {} if options is None else options
     _, _, guardrails = _fields(options, "options", (), ("order", "degree", "guardrails"))
     guardrails = _parse_guardrails(guardrails)
-    # an absent option is None, a null one is refused
+    # an absent order is None and an absent degree 2, or the degree
+    # guardrail when lower; a null one is refused
     order, degree = (
         _int(options[key], f"options.{key}", minimum, getattr(guardrails, key))
-        if key in options else None
-        for key, minimum in (("order", 1), ("degree", 0))
+        if key in options else default
+        for key, minimum, default in (
+            ("order", 1, None), ("degree", 0, min(2, guardrails.degree))
+        )
     )
 
     if field_name is None:
@@ -301,7 +304,7 @@ def parse_problem(data) -> ProblemDocument:
         key: None if raw is None else decode(module, raw, guardrails, key)
         for (key, decode), raw in zip(_PAYLOADS.items(), payloads)
     }
-    return ProblemDocument(module, order=order, degree=degree, guardrails=guardrails, **payloads)
+    return ProblemDocument(module, order=order, degree=degree, **payloads)
 
 
 def canonical_json(obj) -> str:

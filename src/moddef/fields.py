@@ -5,16 +5,15 @@ always in lowest terms with positive denominator) and prime fields (scalars
 are plain ints in ``[0, p)``). No floating point is ever produced or
 accepted. A field is fixed per computation and never mixed.
 
-The text form of a scalar is ``p/q`` with the denominator omitted when it
-is 1; prime-field scalars print as decimal residues. Emitted text is
-canonical, so parse/print round-trips exactly.
-
-Arithmetic is Python's own ``+``, ``-`` and ``*`` on those scalars. A
-field knows only what the operators do not: its zero and one, how to
-parse and format a scalar, its modulus ``p`` (None over Q), and
-``reduce``, which brings a result of the operators back to the canonical
-scalar (the identity over Q, ``x % p`` over F_p). Callers reduce once,
-where a value is stored, compared or emitted.
+Arithmetic and printing are Python's own: ``+``, ``-`` and ``*`` on those
+scalars, and ``str``, which prints a reduced scalar as ``p/q`` with the
+denominator omitted when it is 1, or as a decimal residue over a prime
+field. That text is canonical, so parse/print round-trips exactly. A
+field knows only what Python does not: its zero and one, how to parse a
+scalar, its modulus ``p`` (None over Q), and ``reduce``, which brings a
+result of the operators back to the canonical scalar (the identity over
+Q, ``x % p`` over F_p). Callers reduce once, where a value is stored,
+compared or emitted.
 """
 
 import re
@@ -85,9 +84,6 @@ class Rationals:
         num, den = _split(text)
         return Fraction(num, den)
 
-    def format(self, a) -> str:
-        return str(a)
-
     def __repr__(self):
         return "Rationals()"
 
@@ -121,9 +117,6 @@ class PrimeField:
         if den == 0:
             raise InputError(f"scalar {text!r} has denominator divisible by {p}")
         return num % p if den == 1 else num * pow(den, -1, p) % p
-
-    def format(self, a) -> str:
-        return str(a)
 
     def __repr__(self):
         return f"PrimeField({self.p})"

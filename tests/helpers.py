@@ -17,7 +17,7 @@ from itertools import product
 
 from moddef.algebra import Algebra, Module, Violation
 from moddef.cochain import Cochain, CohomologyReport, differential_matrix
-from moddef.deformation import ApproximateDeformation, DeformationViolation, FormalAutomorphism
+from moddef.deformation import ApproximateDeformation, FormalAutomorphism
 from moddef.fields import PrimeField, QQ
 from moddef.linalg import Matrix
 
@@ -199,9 +199,9 @@ def reference_differential_matrix(module, degree):
 
 def reference_check_deformation(d: ApproximateDeformation):
     """The first violated relation xi_n(e_i e_j) = sum_{a+b=n} xi_a(e_i)
-    xi_b(e_j), orders then basis pairs in increasing order, as a
-    DeformationViolation, or None: both sides are built as whole matrices
-    from the term series and compared."""
+    xi_b(e_j), orders then basis pairs in increasing order, as (order, i,
+    j), or None: both sides are built as whole matrices from the term
+    series and compared."""
     mod = d.module
     alg = mod.algebra
     F = mod.field
@@ -217,7 +217,7 @@ def reference_check_deformation(d: ApproximateDeformation):
                 for a in range(n + 1):
                     rhs = rhs + series[i][a] @ series[j][n - a]
                 if lhs != rhs:
-                    return DeformationViolation(n, i, j)
+                    return n, i, j
     return None
 
 
@@ -271,7 +271,7 @@ def reference_validate_algebra(alg: Algebra):
                 left = multiply(alg, ij, basis_vector(alg, k))
                 right = multiply(alg, basis_vector(alg, i), alg.structure[j][k])
                 if left != right:
-                    lt, rt = (", ".join(F.format(x) for x in v) for v in (left, right))
+                    lt, rt = (", ".join(map(str, v)) for v in (left, right))
                     out.append(
                         Violation(
                             "associativity",

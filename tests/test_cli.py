@@ -327,8 +327,20 @@ def test_integrate_c_emits_order_ten_deformation(tmp_path):
     payload = result["deformation"]
     assert payload["order"] == 10
     problem = docs.parse_problem(json.dumps(FIXTURE_DOCS["C"]))
-    deformation = docs.decode_deformation(problem.module, payload, problem.guardrails)
+    deformation = docs.decode_deformation(problem.module, payload, docs.DEFAULT_GUARDRAILS)
     assert check_deformation(deformation) is None
+
+
+def test_default_degree_is_capped_by_a_lower_guardrail(tmp_path, capsys):
+    doc = {**FIXTURE_DOCS["B"], "options": {"guardrails": {"degree": 1}}}
+    code, result, _ = run_cli(tmp_path, "cohomology", doc, name="B")
+    assert code == 0
+    assert result["dims"] == {"H0": 1, "H1": 0}
+    # an explicit degree over the cap is still refused, by the parser
+    doc["options"]["degree"] = 2
+    code, result, _ = run_cli(tmp_path, "cohomology", doc, name="B2")
+    assert code == 2 and result is None
+    assert capsys.readouterr().err == "error: options.degree: 2 exceeds the guardrail 1\n"
 
 
 def test_rigidity_b_reports_dims(tmp_path):
@@ -368,7 +380,7 @@ def test_witness_absent_certificate_rechecks(tmp_path):
     assert all(v == field.zero for v in matvec(d.transpose(), y))
     sigma = problem.cochain
     pairing = field.reduce(sum((a * b for a, b in zip(y, sigma.flatten())), field.zero))
-    assert field.format(pairing) == cert["pairing"]
+    assert str(pairing) == cert["pairing"]
     assert pairing != field.zero
 
 
@@ -379,7 +391,7 @@ def test_emitted_deformations_pass_validation(tmp_path):
             if result and "deformation" in result:
                 problem = docs.parse_problem(json.dumps(FIXTURE_DOCS[fixture]))
                 d = docs.decode_deformation(
-                    problem.module, result["deformation"], problem.guardrails
+                    problem.module, result["deformation"], docs.DEFAULT_GUARDRAILS
                 )
                 assert check_deformation(d) is None
 
@@ -389,17 +401,17 @@ def test_payload_round_trip(tmp_path):
 
     code, result, _ = run_cli(tmp_path, "integrate", FIXTURE_DOCS["C"], name="C")
     payload = result["deformation"]
-    decoded = docs.decode_deformation(problem.module, payload, problem.guardrails)
+    decoded = docs.decode_deformation(problem.module, payload, docs.DEFAULT_GUARDRAILS)
     assert docs.encode_deformation(decoded) == payload
 
     code, result, _ = run_cli(tmp_path, "equiv-step", FIXTURE_DOCS["C"], name="C")
     payload = result["automorphism"]
-    decoded = docs.decode_automorphism(problem.module, payload, problem.guardrails)
+    decoded = docs.decode_automorphism(problem.module, payload, docs.DEFAULT_GUARDRAILS)
     assert docs.encode_automorphism(decoded) == payload
 
     code, result, _ = run_cli(tmp_path, "coboundary", FIXTURE_DOCS["C"], name="C")
     payload = result["witness"]
-    decoded = docs.decode_cochain(problem.module, payload, problem.guardrails)
+    decoded = docs.decode_cochain(problem.module, payload, docs.DEFAULT_GUARDRAILS)
     assert docs.encode_cochain(decoded) == payload
 
 
@@ -409,6 +421,20 @@ def test_missing_payload_is_input_error(tmp_path, capsys):
     in_path = write_doc(tmp_path, "nocochain", doc)
     assert main(["cocycle", str(in_path)]) == 2
     assert "payload" in capsys.readouterr().err
+
+
+def test_invalid_deformation_is_refused_with_its_violation(tmp_path, capsys):
+    # a zero second term breaks the order-2 relation xi_1(x) xi_1(x) = xi_2(x x)
+    doc = copy.deepcopy(FIXTURE_DOCS["A"])
+    sigma = doc["cochain"]["entries"]
+    doc["deformation"] = {"order": 2, "terms": [sigma, []]}
+    in_path = write_doc(tmp_path, "A", doc)
+    assert main(["obstruction", str(in_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: invalid deformation: multiplicativity fails at order 2 on basis pair (1, 1)\n"
+    )
+    assert captured.out == ""
 
 
 def _fixture_a_bytes(keys, value):
@@ -747,11 +773,11 @@ def _scalar_strings(node):
 
 def _assert_canonical_scalars(field, result):
     """Over F_p every scalar prints as a decimal in [0, p); over Q it
-    prints as QQ.format prints its value. Returns how many were checked."""
+    prints as str prints its value. Returns how many were checked."""
     found = list(_scalar_strings(result))
     for s in found:
         if field.p is None:
-            assert QQ.format(QQ.parse(s)) == s, s
+            assert str(QQ.parse(s)) == s, s
         else:
             assert s.isdigit() and str(int(s)) == s and int(s) < field.p, s
     return len(found)
@@ -826,6 +852,9 @@ def test_fixtures_flag_and_module_entry_point(tmp_path):
     # the same bytes through the installed module entry point
     proc = run_module("--fixtures", check=True)
     assert proc.stdout == out.read_bytes()
+    # the benchmark times its own recorded copy of these documents
+    bench_copy = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures.json"
+    assert emitted == json.loads(bench_copy.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(
