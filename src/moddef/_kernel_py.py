@@ -1,9 +1,10 @@
 """Pure-Python elimination kernel.
 
-One Gauss-Jordan elimination, over the rationals or over a prime field. It
-produces the reduced row-echelon form, which is unique, so every answer
-downstream is determined by the input alone: the order in which pivots are
-taken changes the work, never the result.
+One Gauss-Jordan elimination, whose loops serve the rationals and a prime
+field alike: only the pivot's inverse and the % p of each new value over
+F_p differ. It produces the reduced row-echelon form, which is unique, so
+every answer is determined by the input alone: the order in which pivots
+are taken changes the work, never the result.
 
 The differentials are about 0.5% nonzero, so the elimination is sparse
 from end to end. A row is a list of (column, value) pairs in increasing
@@ -69,14 +70,9 @@ def _rref(rows, ncols, p, ops):
         inv = None
         if pval != 1:
             # Fraction(1) / pval stays exact even when the caller passed ints
-            if p is None:
-                inv = _ONE / pval
-                for j in piv:
-                    piv[j] *= inv
-            else:
-                inv = pow(pval, -1, p)
-                for j in piv:
-                    piv[j] = piv[j] * inv % p
+            inv = _ONE / pval if p is None else pow(pval, -1, p)
+            for j in piv:
+                piv[j] = piv[j] * inv if p is None else piv[j] * inv % p
         # the pivot's own column is dropped from every other row directly;
         # the other entries are negated once, here, instead of at every use
         # (over F_p the % p of each update brings a negative into [0, p))
@@ -88,30 +84,17 @@ def _rref(rows, ncols, p, ops):
             if f is None:  # the pivot row, a stale entry, or a duplicate
                 continue
             factors.append((i, f))
-            if p is None:
-                for j, nj in entries:
-                    v = row.get(j)
-                    if v is None:
-                        row[j] = f * nj
-                        index[j].append(i)
+            for j, nj in entries:
+                v = row.get(j)
+                if v is None:
+                    row[j] = f * nj if p is None else f * nj % p
+                    index[j].append(i)
+                else:
+                    v = v + f * nj if p is None else (v + f * nj) % p
+                    if v:
+                        row[j] = v
                     else:
-                        v += f * nj
-                        if v:
-                            row[j] = v
-                        else:
-                            del row[j]
-            else:
-                for j, nj in entries:
-                    v = row.get(j)
-                    if v is None:
-                        row[j] = f * nj % p
-                        index[j].append(i)
-                    else:
-                        v = (v + f * nj) % p
-                        if v:
-                            row[j] = v
-                        else:
-                            del row[j]
+                        del row[j]
         piv[c] = pval if inv is None else _ONE if p is None else 1
         if ops is not None:
             ops.append((best, inv, factors))
@@ -135,17 +118,14 @@ def rref_mod(rows, ncols, p, ops=None):
 def replay(ops, vec, p):
     """Apply recorded row operations to the column vec (mutated), over Q
     (p is None) or over F_p, exactly as the elimination applied them to
-    its rows: entry i follows row i, and no entry moves. Returns vec."""
+    its rows, % p included: entry i follows row i, and no entry moves.
+    Returns vec."""
     for pr, inv, factors in ops:
         v = vec[pr]
         if not v:
             continue
         if inv is not None:
             v = vec[pr] = v * inv if p is None else v * inv % p
-        if p is None:
-            for i, f in factors:
-                vec[i] -= f * v
-        else:
-            for i, f in factors:
-                vec[i] = (vec[i] - f * v) % p
+        for i, f in factors:
+            vec[i] = vec[i] - f * v if p is None else (vec[i] - f * v) % p
     return vec

@@ -37,6 +37,8 @@ DEFAULT_GUARDRAILS = Guardrails()
 
 # Past degree 11, any algebra of dimension >= 2 meets the cell bound of d_n.
 MAX_DEGREE_GUARDRAIL = 16
+# integrate's time grows about 4.3x per doubling of the order
+MAX_ORDER_GUARDRAIL = 64
 
 
 @dataclass
@@ -245,14 +247,14 @@ def encode_obstruction_outcome(out: ObstructionOutcome):
 
 
 def _parse_guardrails(raw):
-    """options.guardrails over the defaults: each must be >= 1, and the
-    degree at most MAX_DEGREE_GUARDRAIL."""
+    """options.guardrails over the defaults: each must be >= 1, the order
+    at most MAX_ORDER_GUARDRAIL and the degree at most MAX_DEGREE_GUARDRAIL."""
     if raw is None:
         return DEFAULT_GUARDRAILS
     _fields(raw, "options.guardrails", (), ("dim_r", "dim_m", "order", "degree"))
     caps = {k: _int(v, f"options.guardrails.{k}", 1) for k, v in raw.items()}
-    _expect(caps.get("degree", 1) <= MAX_DEGREE_GUARDRAIL, "options.guardrails.degree",
-            f"must be <= {MAX_DEGREE_GUARDRAIL}")
+    for key, most in (("order", MAX_ORDER_GUARDRAIL), ("degree", MAX_DEGREE_GUARDRAIL)):
+        _expect(caps.get(key, 1) <= most, f"options.guardrails.{key}", f"must be <= {most}")
     return replace(DEFAULT_GUARDRAILS, **caps)
 
 

@@ -488,17 +488,22 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "flag,value",
     [(flag, value) for flag in ("dim-r", "dim-m", "order", "degree") for value in (0, -1)]
-    + [("degree", 17)],
+    + [("degree", 17), ("order", 65)],
 )
 def test_guardrail_flags_must_be_positive(tmp_path, capsys, flag, value):
     key = flag.replace("-", "_")
     in_path = write_doc(tmp_path, "B", {**FIXTURE_DOCS["B"], "options": {"guardrails": {key: value}}})
     assert main(["validate", str(in_path)]) == 2
     captured = capsys.readouterr()
-    bound = "<= 16" if value > 0 else ">= 1"
+    bound = f"<= {dict(degree=16, order=64)[key]}" if value > 0 else ">= 1"
     assert captured.err.startswith(f"error: options.guardrails.{key}: must be {bound}")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_order_guardrail_at_its_bound_is_accepted(tmp_path):
+    doc = {**FIXTURE_DOCS["B"], "options": {"guardrails": {"order": 64}}}
+    assert main(["validate", str(write_doc(tmp_path, "B", doc))]) == 0
 
 
 @pytest.mark.parametrize(

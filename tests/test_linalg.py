@@ -398,3 +398,53 @@ def test_sparse_kernel_matches_oracle_in_any_row_order(case):
     assert Matrix(field, shuffled, ncols).rref() == want
     for b in rhs:
         assert solve(m, b) == reference_solve(m, b)
+
+
+_MERSENNE_61 = PrimeField(2**61 - 1)
+
+
+@st.composite
+def small_integer_systems(draw):
+    """(rows, right-hand sides): an integer matrix of up to 8x10 with
+    entries in [-9, 9], with sides that are images a x (consistent) or
+    arbitrary vectors of entries in [-9, 9]."""
+    entries = st.integers(-9, 9)
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 10))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = []
+    for consistent in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        if consistent:
+            x = [draw(entries) for _ in range(ncols)]
+            rhs.append([sum(a * b for a, b in zip(row, x)) for row in rows])
+        else:
+            rhs.append([draw(entries) for _ in range(nrows)])
+    return rows, rhs
+
+
+@settings(max_examples=200)
+@given(small_integer_systems())
+def test_q_and_large_prime_agree_through_one_elimination(case):
+    """Every minor of a is below Hadamard's bound (sqrt(8) 9)^8 < 1.8e11,
+    and every minor of [a | b] below 90 times that, far below
+    p = 2^61 - 1, so no rank drops mod p: the echelon form over Q reduced
+    mod p is the echelon form over F_p, and a solve fails on both fields
+    or agrees mod p."""
+    rows, rhs = case
+    p = _MERSENNE_61.p
+
+    def red(x):
+        x = Fraction(x)
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    ncols = len(rows[0])
+    q = Matrix(QQ, rows, ncols)
+    f = Matrix(_MERSENNE_61, [[x % p for x in row] for row in rows], ncols)
+    (reduced_q, pivots_q), (reduced_f, pivots_f) = q.rref(), f.rref()
+    assert pivots_q == pivots_f
+    assert [[red(x) for x in row] for row in reduced_q.data] == reduced_f.data
+    for b in rhs:
+        x_q, x_f = solve(q, b), solve(f, [v % p for v in b])
+        assert (x_q is None) == (x_f is None)
+        if x_q is not None:
+            assert [red(v) for v in x_q] == x_f
