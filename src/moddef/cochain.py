@@ -27,7 +27,7 @@ from itertools import product
 
 from .algebra import Module, require_valid
 from .errors import InputError, ResourceError
-from .linalg import Matrix, solve
+from .linalg import Matrix, reduce_rows, solve
 
 # Largest differential matrix (rows x cols) that differential_matrix will
 # build: 2**24 cells. The matrix is sparse, but the cells bound the work of
@@ -158,6 +158,11 @@ def _tuple_index(key, d_r):
     return idx
 
 
+def _integral(v):
+    """v as an int when it is integral (an int stays an int), else v."""
+    return v.numerator if v.denominator == 1 else v
+
+
 class _Stencil:
     """The terms of the coboundary formula for degree-n cochains over one
     module, built from the nonzeros of the action matrices and of the
@@ -174,7 +179,8 @@ class _Stencil:
       tuple, at row offset + r d_m + c.
 
     Every entry is nonzero, so only the cells where two terms meet are
-    summed, reduced and tested."""
+    summed, reduced and tested. Over Q an integral entry is held as an
+    int, so the d_n of an integral pair is assembled from ints alone."""
 
     def __init__(self, module, degree):
         F = module.field
@@ -190,13 +196,17 @@ class _Stencil:
             for j, row in enumerate(act.data):
                 for k, v in enumerate(row):
                     if v:
+                        v = _integral(v)
                         self.head[k].append((a * head_step + j * d_m, v))
                         self.tail[j].append((a * self.m2 + k, F.reduce(-v) if negate else v))
         # e_a e_b has a k component: (flat index of (a, b), coef, -coef) per k
-        self.products = [
-            [(a * d_r + b, coef, F.reduce(-coef)) for a, b, coef in support]
-            for support in module.algebra.product_support
-        ]
+        self.products = []
+        for support in module.algebra.product_support:
+            terms = []
+            for a, b, coef in support:
+                coef = _integral(coef)
+                terms.append((a * d_r + b, coef, F.reduce(-coef)))
+            self.products.append(terms)
 
     def middle(self, t, key):
         """The middle terms of tuple key, whose index is t, summed per
@@ -243,8 +253,8 @@ class _Stencil:
 
 def differential(f: Cochain) -> Cochain:
     """Degree n -> n+1: the stencil's column of every nonzero coordinate
-    of f, scaled and summed into sparse output blocks, each reduced once
-    when it becomes a matrix."""
+    of f, scaled and summed into sparse output blocks; over F_p each block
+    is reduced once, when it becomes a matrix."""
     mod = f.module
     F = mod.field
     d_r, d_m = mod.algebra.dim, mod.dim
@@ -265,9 +275,7 @@ def differential(f: Cochain) -> Cochain:
                         blocks[tb] = [[F.zero] * d_m for _ in range(d_m)]
                     blocks[tb][rem // d_m][rem % d_m] += x * v
     entries = {
-        tuple(t // d_r ** (n - 1 - j) % d_r for j in range(n)): Matrix(
-            F, [list(map(F.reduce, row)) for row in block], d_m
-        )
+        tuple(t // d_r ** (n - 1 - j) % d_r for j in range(n)): Matrix(F, reduce_rows(F, block), d_m)
         for t, block in blocks.items()
     }
     return Cochain(mod, n, entries)

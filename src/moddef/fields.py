@@ -13,7 +13,14 @@ field knows only what Python does not: its zero and one, how to parse a
 scalar, its modulus ``p`` (None over Q), and ``reduce``, which brings a
 result of the operators back to the canonical scalar (the identity over
 Q, ``x % p`` over F_p). Callers reduce once, where a value is stored,
-compared or emitted.
+compared or emitted; a matrix built fresh over Q skips that pass, since
+there it changes nothing.
+
+Over Q an integral value may also be a plain int, which compares, hashes
+and prints as the equal Fraction: the differentials hold integral entries
+as ints so that elimination runs on integers (see ``_kernel_py``), and a
+library caller may pass ints. Parsed scalars are Fractions, and so is
+every value computed from one.
 """
 
 import re

@@ -142,7 +142,7 @@ class Matrix:
                 for j, b in enumerate(brow):
                     if b:
                         orow[j] += a * b
-        return Matrix(F, [list(map(F.reduce, row)) for row in out], other.ncols)
+        return Matrix(F, reduce_rows(F, out), other.ncols)
 
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
@@ -183,12 +183,17 @@ class Matrix:
         (every free column, in increasing order, by default): that
         column's entry set to one, pivot entries back-filled from the
         entries of each pivot row, which outside its pivot lie in free
-        columns only."""
+        columns only. A pivot column has no kernel vector: asking for
+        one raises InputError."""
         reduced, pivots = self.rref()
         F = self.field
         zero, one, ncols = F.zero, F.one, self.ncols
         if columns is None:
             columns = sorted(set(range(ncols)).difference(pivots))
+        else:
+            asked = sorted(set(columns).intersection(pivots))
+            if asked:
+                raise InputError(f"column {asked[0]} is a pivot column, which has no kernel vector")
         by_column = {}
         for j in columns:
             v = by_column[j] = [zero] * ncols
@@ -205,7 +210,7 @@ def series_term(left, right, n, minus=()):
     """Term n of the product of two truncated operator series given as
     term lists (left[i] @ right[n - i] summed over the indices both lists
     hold), less c * m for each (c, m) in minus. Each entry accumulates in
-    place, zero entries skipped, and is reduced once, at the end."""
+    place, zero entries skipped; over F_p it is reduced once, at the end."""
     F = left[0].field
     ncols = right[0].ncols
     out = [[F.zero] * ncols for _ in range(left[0].nrows)]
@@ -222,7 +227,15 @@ def series_term(left, right, n, minus=()):
             for j, y in enumerate(mrow):
                 if y:
                     orow[j] -= c * y
-    return Matrix(F, [list(map(F.reduce, row)) for row in out], ncols)
+    return Matrix(F, reduce_rows(F, out), ncols)
+
+
+def reduce_rows(F, rows):
+    """Dense rows of sums and products brought back to canonical scalars:
+    rows themselves over Q, where every value already is one, and fresh
+    rows of residues over F_p."""
+    p = F.p
+    return rows if p is None else [[x % p for x in row] for row in rows]
 
 
 def solve(a: Matrix, b: list):

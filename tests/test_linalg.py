@@ -94,6 +94,11 @@ def test_kernel_basis_builds_the_columns_asked_for():
             full = m.kernel_basis()
             assert m.kernel_basis(free[1::2]) == full[1::2]
             assert m.kernel_basis([]) == []
+            for pc in pivots:  # a pivot column has no kernel vector
+                with pytest.raises(InputError, match=f"column {pc} is a pivot column"):
+                    m.kernel_basis(free[:1] + [pc])
+    with pytest.raises(InputError, match="column 0 is a pivot column"):
+        Matrix(QQ, [[1, 2]]).kernel_basis([0])
 
 
 @settings(max_examples=60)
@@ -312,6 +317,27 @@ def test_solve_replays_one_factorisation(case):
         ops = m._ops
 
 
+def test_unit_pivots_keep_the_recorded_operations_on_ints():
+    """The incidence matrix of a directed graph (one row per edge: -1 at
+    its tail, +1 at its head) is totally unimodular, so every pivot of its
+    elimination is +1 or -1 and every row stays integral. A pivot row
+    whose pivot is -1 is negated and keeps the denominator 1, so every
+    recorded inverse and factor is an int, and replaying them is int
+    arithmetic."""
+    rng = random.Random(43)
+    for _ in range(20):
+        nodes = rng.randint(2, 12)
+        edges = [rng.sample(range(nodes), 2) for _ in range(rng.randint(1, 20))]
+        rows = [[(min(t, h), -1 if t < h else 1), (max(t, h), 1 if t < h else -1)] for t, h in edges]
+        ops = []
+        reduced, pivots = kernel.rref_rational(rows, nodes, ops)
+        assert (Matrix.sparse(QQ, reduced, nodes), pivots) == oracle_rref(Matrix.sparse(QQ, rows, nodes))
+        for _, inv, factors in ops:
+            assert inv is None or type(inv) is int
+            assert all(type(f) is int for _, f in factors)
+        assert all(v in (-1, 1) for row in reduced for _, v in row)
+
+
 def test_kernel_leaves_its_input_rows_unchanged():
     """The kernel reads its argument rows and builds its output rows fresh;
     Matrix.rref hands it the matrix's own rows without a copy."""
@@ -348,7 +374,9 @@ def sparse_systems(draw):
     """(field, rows, right-hand sides): a sparse matrix of up to 60x40 at
     0.5-5% density with zero rows and duplicate rows, in which over Q some
     zero cells hold a fresh Fraction(0) or an int 0 instead of the field's
-    zero object, and some nonzero cells hold ints."""
+    zero object, some nonzero cells hold ints, and some hold large
+    rationals (numerators up to 10^18, denominators up to 10^9), whose
+    rows go over large common denominators in the kernel."""
     field = draw(st.sampled_from(_RREF_FIELDS))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     nrows = draw(st.integers(1, 60))
@@ -358,8 +386,11 @@ def sparse_systems(draw):
     def scalar():
         if field != QQ:
             return rng.randrange(1, field.p)
-        if rng.random() < 0.3:
+        u = rng.random()
+        if u < 0.3:
             return rng.choice((-2, -1, 1, 3))
+        if u < 0.45:
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**18), rng.randint(1, 10**9))
         return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
 
     def zero():
