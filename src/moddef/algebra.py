@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
+from .fields import integral
 from .linalg import Matrix, series_term
 
 
@@ -74,9 +75,12 @@ class Algebra:
     def products(self):
         """products[i][j]: tuple of (k, c) with nonzero coefficient c of
         basis element k in the product e_i e_j, in increasing k. Every
-        computation with the structure constants reads this table."""
+        computation with the structure constants reads this table. An
+        integral c is held as an int (over Q too, whatever the type of the
+        structure entry), so the axiom checks and the differentials of an
+        integral algebra run on ints."""
         return tuple(
-            tuple(tuple((k, c) for k, c in enumerate(coords) if c) for coords in row)
+            tuple(tuple((k, integral(c)) for k, c in enumerate(coords) if c) for coords in row)
             for row in self.structure
         )
 
@@ -139,9 +143,10 @@ class Module:
 
 def _expand(field, dim, terms):
     """Coordinates of the sum of c * v over (c, v) in terms, in one pass;
-    each v is given by (k, x) pairs, zero x skipped."""
+    each v is given by (k, x) pairs, zero x skipped. The sums start from
+    the int 0, so they stay ints while every c and x is one."""
     reduce = field.reduce
-    out = [field.zero] * dim
+    out = [0] * dim
     for c, vec in terms:
         for k, x in vec:
             if x:

@@ -6,9 +6,13 @@ Exit codes: 0 = computed with an affirmative verdict, 1 = computed with a
 negative verdict (the result carries a checkable certificate), 2 = input
 or resource error, or a result that cannot be written (diagnostic on
 stderr, no result document).
+
+The argument parser is built once per process and shared by every call
+of `main`; parsing reads it and never changes it.
 """
 
 import argparse
+import functools
 import sys
 
 from . import documents as doc
@@ -57,6 +61,9 @@ def build_parser():
     p.add_argument("--output", help="write the result document to this path")
     p.add_argument("--fixtures", action="store_true", help="emit the built-in fixture documents")
     return p
+
+
+_parser = functools.cache(build_parser)
 
 
 def _require(problem, name):
@@ -250,7 +257,7 @@ def _read_input(path):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if (args.command is None) != args.fixtures:
         parser.error("give either a command or --fixtures")

@@ -27,6 +27,7 @@ from itertools import product
 
 from .algebra import Module, require_valid
 from .errors import InputError, ResourceError
+from .fields import integral
 from .linalg import Matrix, reduce_rows, solve
 
 # Largest differential matrix (rows x cols) that differential_matrix will
@@ -158,11 +159,6 @@ def _tuple_index(key, d_r):
     return idx
 
 
-def _integral(v):
-    """v as an int when it is integral (an int stays an int), else v."""
-    return v.numerator if v.denominator == 1 else v
-
-
 class _Stencil:
     """The terms of the coboundary formula for degree-n cochains over one
     module, built from the nonzeros of the action matrices and of the
@@ -179,8 +175,10 @@ class _Stencil:
       tuple, at row offset + r d_m + c.
 
     Every entry is nonzero, so only the cells where two terms meet are
-    summed, reduced and tested. Over Q an integral entry is held as an
-    int, so the d_n of an integral pair is assembled from ints alone."""
+    summed, reduced and tested. Over Q an integral action entry is held
+    as an int, as ``Algebra.products`` holds an integral structure
+    constant, so the d_n of an integral pair is assembled from ints
+    alone."""
 
     def __init__(self, module, degree):
         F = module.field
@@ -196,17 +194,14 @@ class _Stencil:
             for j, row in enumerate(act.data):
                 for k, v in enumerate(row):
                     if v:
-                        v = _integral(v)
+                        v = integral(v)
                         self.head[k].append((a * head_step + j * d_m, v))
                         self.tail[j].append((a * self.m2 + k, F.reduce(-v) if negate else v))
         # e_a e_b has a k component: (flat index of (a, b), coef, -coef) per k
-        self.products = []
-        for support in module.algebra.product_support:
-            terms = []
-            for a, b, coef in support:
-                coef = _integral(coef)
-                terms.append((a * d_r + b, coef, F.reduce(-coef)))
-            self.products.append(terms)
+        self.products = [
+            [(a * d_r + b, coef, F.reduce(-coef)) for a, b, coef in support]
+            for support in module.algebra.product_support
+        ]
 
     def middle(self, t, key):
         """The middle terms of tuple key, whose index is t, summed per

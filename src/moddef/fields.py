@@ -1,9 +1,10 @@
 """Exact scalar fields.
 
 Two fields are supported: the rationals (scalars are `fractions.Fraction`,
-always in lowest terms with positive denominator) and prime fields (scalars
-are plain ints in ``[0, p)``). No floating point is ever produced or
-accepted. A field is fixed per computation and never mixed.
+always in lowest terms with positive denominator, or plain ints; see
+below) and prime fields (scalars are plain ints in ``[0, p)``). No
+floating point is ever produced or accepted. A field is fixed per
+computation and never mixed.
 
 Arithmetic and printing are Python's own: ``+``, ``-`` and ``*`` on those
 scalars, and ``str``, which prints a reduced scalar as ``p/q`` with the
@@ -17,10 +18,13 @@ compared or emitted; a matrix built fresh over Q skips that pass, since
 there it changes nothing.
 
 Over Q an integral value may also be a plain int, which compares, hashes
-and prints as the equal Fraction: the differentials hold integral entries
-as ints so that elimination runs on integers (see ``_kernel_py``), and a
-library caller may pass ints. Parsed scalars are Fractions, and so is
-every value computed from one.
+and prints as the equal Fraction. A parsed scalar is an int when it is
+integral and a Fraction otherwise; the structure constants
+(``Algebra.products``) and the differentials hold integral values as ints
+too, so that validation and elimination run on integers (see
+``_kernel_py``), and a library caller may pass ints or Fractions. The zero
+and one of Q stay Fractions, so a sum that starts from zero, as
+``linalg.series_term``'s do, is a Fraction.
 """
 
 import re
@@ -76,6 +80,11 @@ def _split(text: str):
     return num, den
 
 
+def integral(v):
+    """v as an int when it is integral (an int stays an int), else v."""
+    return v.numerator if v.denominator == 1 else v
+
+
 class Rationals:
     """The field of arbitrary-precision rationals."""
 
@@ -89,7 +98,7 @@ class Rationals:
 
     def parse(self, text: str):
         num, den = _split(text)
-        return Fraction(num, den)
+        return num if den == 1 else integral(Fraction(num, den))
 
     def __repr__(self):
         return "Rationals()"

@@ -21,10 +21,10 @@ from moddef.algebra import (
     validate_algebra,
     validate_module,
 )
-from moddef.cochain import Cochain, differential
+from moddef.cochain import Cochain, differential, differential_matrix
 from moddef.errors import InputError
-from moddef.fields import QQ, PrimeField
-from moddef.fixtures import dual_numbers, fixture_a, fixture_c, matrix_algebra_2
+from moddef.fields import QQ, PrimeField, integral
+from moddef.fixtures import dual_numbers, fixture_a, fixture_b, fixture_c, matrix_algebra_2
 from moddef.linalg import Matrix
 
 Q0, Q1 = Fraction(0), Fraction(1)
@@ -114,12 +114,12 @@ Q_ENTRIES = tuple(Fraction(x) for x in ("0", "1", "-1", "1/2", "-1/2", "2"))
 
 
 @st.composite
-def algebra_module_tables(draw):
-    """An algebra of dimension 1-3 and a module of dimension 1-2 over Q,
-    F_3 or F_13: a random table (almost always invalid), a valid
-    random_pair, or a valid pair with one structure constant, unit
-    coordinate or action entry replaced."""
-    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+def algebra_module_tables(draw, field=None):
+    """An algebra of dimension 1-3 and a module of dimension 1-2 over
+    field, by default Q, F_3 or F_13: a random table (almost always
+    invalid), a valid random_pair, or a valid pair with one structure
+    constant, unit coordinate or action entry replaced."""
+    F = field or FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
     scalar = st.sampled_from(Q_ENTRIES) if F is QQ else st.integers(0, F.p - 1)
     kind = draw(st.sampled_from(("random", "random", "valid", "perturbed")))
     if kind == "random":
@@ -173,6 +173,39 @@ def test_validators_match_dense_product_oracles(pair):
                 if c:
                     support[k].append((i, j, c))
     assert alg.product_support == tuple(map(tuple, support))
+
+
+def test_products_hold_integral_constants_of_a_library_pair_as_ints():
+    alg, mod = fixture_b()
+    scalars = [c for row in alg.structure for coords in row for c in coords]
+    assert {type(c) for c in scalars} == {Fraction}
+    coefs = [c for row in alg.products for prod in row for _, c in prod]
+    assert coefs and all(type(c) is int for c in coefs)
+    for n in range(3):
+        values = [v for row in differential_matrix(mod, n).rows for _, v in row]
+        assert values and all(type(v) is int for v in values)
+
+
+def _pair_as(convert, alg, mod):
+    """The same pair over Q with every scalar passed through convert."""
+
+    def vec(v):
+        return [convert(x) for x in v]
+
+    new_alg = Algebra(QQ, [[vec(v) for v in row] for row in alg.structure], vec(alg.unit))
+    return new_alg, Module(new_alg, [Matrix(QQ, list(map(vec, m.data))) for m in mod.action])
+
+
+@settings(max_examples=200)
+@given(algebra_module_tables(QQ))
+def test_validation_is_the_same_on_ints_and_fractions(pair):
+    """Integral scalars held as ints, as the parser gives them, yield the
+    same violations, message text included, as the same scalars held as
+    Fractions."""
+    alg, mod = _pair_as(Fraction, *pair)
+    int_alg, int_mod = _pair_as(integral, *pair)
+    assert validate_algebra(int_alg) == validate_algebra(alg)
+    assert validate_module(int_mod) == validate_module(mod)
 
 
 @settings(max_examples=100)

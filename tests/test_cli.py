@@ -733,6 +733,27 @@ def test_integrate_requires_order(tmp_path, capsys):
     assert json.loads(out.read_text())["order"] == 3
 
 
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    """main reuses one parser in a process: an --output of one call, and
+    a usage error, do not reach the calls after it."""
+    path = str(write_doc(tmp_path, "A", FIXTURE_DOCS["A"]))
+    out = tmp_path / "out.json"
+    assert main(["validate", path, "--output", str(out)]) == 0
+    written = out.read_text(encoding="utf-8")
+    assert json.loads(written)["verdict"] == "valid"
+    out.write_text("untouched", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == written
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "give either a command or --fixtures" in capsys.readouterr().err
+    assert main(["cohomology", path]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "cohomology"
+    assert out.read_text(encoding="utf-8") == "untouched"
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io
 

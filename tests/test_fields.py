@@ -13,6 +13,17 @@ def test_rational_parse_canonical():
     assert QQ.parse("0") == 0
 
 
+def test_rational_parse_holds_integral_scalars_as_ints():
+    assert type(QQ.parse("7")) is int
+    assert type(QQ.parse("3/2")) is Fraction
+    four_halves = QQ.parse("4/2")
+    assert four_halves == 2 and type(four_halves) is int
+    assert type(QQ.parse("-6/3")) is int
+    assert str(QQ.parse("-0")) == "0"
+    # zero and one stay Fractions, so sums started from them are Fractions
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+
+
 def test_rational_format_lowest_terms():
     assert str(Fraction(3, 2)) == "3/2"
     assert str(Fraction(-1, 3)) == "-1/3"
