@@ -210,8 +210,8 @@ def validate_module(m: Module) -> list[Violation]:
             if not defect.is_zero()
         ]
         unit = [(k, u) for k, u in enumerate(m.algebra.unit) if u]
-        acted = [_expand(F, n, ((u, enumerate(A[k].data[r])) for k, u in unit)) for r in range(n)]
-        if acted != m.identity_operator().data:
+        acted = [_expand(F, n, ((u, A[k].rows[r]) for k, u in unit)) for r in range(n)]
+        if Matrix(F, acted, n) != m.identity_operator():
             out.append(Violation("unit", (), "unit does not act as the identity"))
         m._violations = tuple(out)
     return list(m._violations)

@@ -115,11 +115,10 @@ class Cochain:
         """(tuple, row, col, value) of the first entry in coordinate order,
         or None for the zero cochain."""
         for key in self.support():
-            mat = self.entries[key]
-            for r in range(mat.nrows):
-                for c in range(mat.ncols):
-                    if mat.data[r][c]:
-                        return key, r, c, mat.data[r][c]
+            for r, row in enumerate(self.entries[key].rows):
+                if row:
+                    c, value = row[0]
+                    return key, r, c, value
         return None
 
     def flatten(self):
@@ -129,10 +128,9 @@ class Cochain:
         out = [self.module.field.zero] * (d_r**self.degree * d_m * d_m)
         for key, mat in self.entries.items():
             base = _tuple_index(key, d_r) * d_m * d_m
-            for r in range(d_m):
-                row = mat.data[r]
-                for c in range(d_m):
-                    out[base + r * d_m + c] = row[c]
+            for r, row in enumerate(mat.rows):
+                for c, v in row:
+                    out[base + r * d_m + c] = v
         return out
 
     @classmethod
@@ -191,12 +189,11 @@ class _Stencil:
         self.tail = [[] for _ in range(d_m)]
         negate = degree % 2 == 0
         for a, act in enumerate(module.action):
-            for j, row in enumerate(act.data):
-                for k, v in enumerate(row):
-                    if v:
-                        v = integral(v)
-                        self.head[k].append((a * head_step + j * d_m, v))
-                        self.tail[j].append((a * self.m2 + k, F.reduce(-v) if negate else v))
+            for j, row in enumerate(act.rows):
+                for k, v in row:
+                    v = integral(v)
+                    self.head[k].append((a * head_step + j * d_m, v))
+                    self.tail[j].append((a * self.m2 + k, F.reduce(-v) if negate else v))
         # e_a e_b has a k component: (flat index of (a, b), coef, -coef) per k
         self.products = [
             [(a * d_r + b, coef, F.reduce(-coef)) for a, b, coef in support]
@@ -248,10 +245,11 @@ class _Stencil:
 
 def differential(f: Cochain) -> Cochain:
     """Degree n -> n+1: the stencil's column of every nonzero coordinate
-    of f, scaled and summed into sparse output blocks; over F_p each block
-    is reduced once, when it becomes a matrix."""
+    of f, scaled and summed into sparse output blocks of row accumulators;
+    over F_p each block is reduced once, when it becomes a matrix."""
     mod = f.module
     F = mod.field
+    zero = F.zero
     d_r, d_m = mod.algebra.dim, mod.dim
     m2 = d_m * d_m
     n = f.degree + 1
@@ -260,17 +258,18 @@ def differential(f: Cochain) -> Cochain:
     for key, mat in f.entries.items():
         t = _tuple_index(key, d_r)
         middle = st.middle(t, key)
-        for r, row in enumerate(mat.data):
-            for c, x in enumerate(row):
-                if not x:
-                    continue
+        for r, row in enumerate(mat.rows):
+            for c, x in row:
                 for idx, v in st.column(t, middle, r, c).items():
                     tb, rem = divmod(idx, m2)
                     if tb not in blocks:
-                        blocks[tb] = [[F.zero] * d_m for _ in range(d_m)]
-                    blocks[tb][rem // d_m][rem % d_m] += x * v
+                        blocks[tb] = [{} for _ in range(d_m)]
+                    i, j = divmod(rem, d_m)
+                    acc = blocks[tb][i]
+                    acc[j] = acc.get(j, zero) + x * v
     entries = {
-        tuple(t // d_r ** (n - 1 - j) % d_r for j in range(n)): Matrix(F, reduce_rows(F, block), d_m)
+        tuple(t // d_r ** (n - 1 - j) % d_r for j in range(n)):
+            Matrix.sparse(F, reduce_rows(F, block), d_m)
         for t, block in blocks.items()
     }
     return Cochain(mod, n, entries)

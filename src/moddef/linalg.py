@@ -1,4 +1,4 @@
-"""Exact matrices, dense or sparse, and the linear-algebra core.
+"""Exact matrices, held as sparse rows, and the linear-algebra core.
 
 Everything downstream (validation, differentials, witness searches,
 obstruction solves) reduces to the operations here: reduced row-echelon
@@ -7,13 +7,13 @@ All arithmetic is exact; the canonical solution of a linear system is the
 one with every free variable of the echelon form set to zero, which makes
 all emitted witnesses and representatives deterministic.
 
-A matrix is built from dense rows (the small d_m x d_m operators) or from
-sparse rows (the differentials d_n, and every reduced echelon form). A
-sparse row is a list of (column, value) pairs in increasing column order
-holding only nonzero values. Elimination, rank, kernel bases, solves and
-the transpose all work on sparse rows; a dense matrix is converted when
-it is eliminated or transposed, which the library never does. The dense
-rows of a sparse matrix are built only when something reads ``data``.
+Every matrix, from a d_m x d_m module operator to a differential d_n or
+a reduced echelon form, is held one way: as sparse rows. A sparse row is
+a list of (column, value) pairs in increasing column order holding only
+nonzero values. Sums, products, elimination, rank, kernel bases, solves
+and the transpose all read and build sparse rows. The dense rows of a
+matrix are a view, built afresh on each read of ``data``, for encoding
+and tests.
 """
 
 from ._backend import kernel
@@ -23,28 +23,26 @@ from .errors import InputError
 class Matrix:
     """Immutable-by-convention matrix over a fixed field.
 
-    data is a list of dense rows, lists of field scalars. rows is None for
-    a matrix built from dense rows, else its sparse rows; data is then
-    built from them the first time it is read.
+    rows[i] is row i as sparse (column, value) pairs, in increasing column
+    order, nonzero values only; every operator here returns residues in
+    (0, p) over F_p. data is the dense view of rows, a fresh list of lists
+    on each read, so a write into it changes nothing.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "rows", "_rref", "_ops")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_ops")
 
     def __init__(self, field, data, ncols=None):
-        self.field = field
-        self.nrows = len(data)
-        if self.nrows:
+        """The matrix with these dense rows; only their nonzeros are kept."""
+        if data:
             ncols = len(data[0]) if ncols is None else ncols
         elif ncols is None:
             raise InputError("empty matrix needs an explicit column count")
         for row in data:
             if len(row) != ncols:
                 raise InputError("ragged matrix rows")
-        self.ncols = ncols
-        self.data = data
-        self.rows = None
-        self._rref = None
-        self._ops = None
+        self.field, self.nrows, self.ncols = field, len(data), ncols
+        self.rows = [[(j, v) for j, v in enumerate(row) if v] for row in data]
+        self._rref = self._ops = None
 
     @classmethod
     def sparse(cls, field, rows, ncols):
@@ -54,36 +52,25 @@ class Matrix:
         m._rref = m._ops = None
         return m
 
-    def __getattr__(self, name):
-        # only reached while a slot is unset: data of a sparse matrix
-        if name != "data":
-            raise AttributeError(name)
+    @property
+    def data(self):
+        """Dense rows, built afresh from rows on each read."""
         zero, ncols = self.field.zero, self.ncols
-        data = []
+        out = []
         for row in self.rows:
             dense = [zero] * ncols
             for j, v in row:
                 dense[j] = v
-            data.append(dense)
-        self.data = data
-        return data
-
-    def _sparse_rows(self):
-        if self.rows is not None:
-            return self.rows
-        return [[(j, v) for j, v in enumerate(row) if v] for row in self.data]
+            out.append(dense)
+        return out
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls.sparse(field, [[] for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        return cls.sparse(field, [[(i, field.one)] for i in range(n)], n)
 
     def __eq__(self, other):
         return (
@@ -91,40 +78,35 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.data == other.data
+            and self.rows == other.rows
         )
 
     def __repr__(self):
         return f"Matrix({self.field.name}, {self.nrows}x{self.ncols})"
 
     def is_zero(self):
-        return not any(any(row) for row in self.data)
+        return not any(self.rows)
 
     def __add__(self, other):
         self._check_same_shape(other)
-        reduce = self.field.reduce
-        return Matrix(
-            self.field,
-            [[reduce(a + b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            self.ncols,
-        )
+        return self._combination(((1, self), (1, other)))
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        reduce = self.field.reduce
-        return Matrix(
-            self.field,
-            [[reduce(a - b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            self.ncols,
-        )
+        return self._combination(((1, self), (-1, other)))
 
     def __neg__(self):
-        reduce = self.field.reduce
-        return Matrix(self.field, [[reduce(-a) for a in row] for row in self.data], self.ncols)
+        return self._combination(((-1, self),))
 
     def scale(self, c):
-        reduce = self.field.reduce
-        return Matrix(self.field, [[reduce(c * a) for a in row] for row in self.data], self.ncols)
+        return self._combination(((c, self),))
+
+    def _combination(self, terms):
+        """The sum of c * m over (c, m) in terms, all of self's shape."""
+        F = self.field
+        out = [{} for _ in range(self.nrows)]
+        _add_scaled(out, F.zero, terms)
+        return Matrix.sparse(F, reduce_rows(F, out), self.ncols)
 
     def __matmul__(self, other):
         if self.field != other.field:
@@ -133,20 +115,11 @@ class Matrix:
             raise InputError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        F = self.field
-        out = [[F.zero] * other.ncols for _ in range(self.nrows)]
-        for arow, orow in zip(self.data, out):
-            for a, brow in zip(arow, other.data):
-                if not a:
-                    continue
-                for j, b in enumerate(brow):
-                    if b:
-                        orow[j] += a * b
-        return Matrix(F, reduce_rows(F, out), other.ncols)
+        return series_term([self], [other], 0)
 
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
-        for i, row in enumerate(self._sparse_rows()):
+        for i, row in enumerate(self.rows):
             for j, v in row:
                 cols[j].append((i, v))
         return Matrix.sparse(self.field, cols, self.nrows)
@@ -164,7 +137,7 @@ class Matrix:
         (cached, together with the row operations that produced them, for
         solve)."""
         if self._rref is None:
-            rows = self._sparse_rows()
+            rows = self.rows
             ops = []
             p = self.field.p
             if p is None:
@@ -209,33 +182,38 @@ class Matrix:
 def series_term(left, right, n, minus=()):
     """Term n of the product of two truncated operator series given as
     term lists (left[i] @ right[n - i] summed over the indices both lists
-    hold), less c * m for each (c, m) in minus. Each entry accumulates in
-    place, zero entries skipped; over F_p it is reduced once, at the end."""
+    hold), less c * m for each (c, m) in minus. Only nonzeros are
+    multiplied: each row sums into a {column: value} accumulator started
+    from the field's zero, reduced once, at the end (see reduce_rows)."""
     F = left[0].field
-    ncols = right[0].ncols
-    out = [[F.zero] * ncols for _ in range(left[0].nrows)]
+    zero = F.zero
+    out = [{} for _ in range(left[0].nrows)]
     for i in range(max(0, n - len(right) + 1), min(n, len(left) - 1) + 1):
-        b = right[n - i].data
-        for orow, arow in zip(out, left[i].data):
-            for x, brow in zip(arow, b):
-                if x:
-                    for j, y in enumerate(brow):
-                        if y:
-                            orow[j] += x * y
-    for c, m in minus:
-        for orow, mrow in zip(out, m.data):
-            for j, y in enumerate(mrow):
-                if y:
-                    orow[j] -= c * y
-    return Matrix(F, reduce_rows(F, out), ncols)
+        b = right[n - i].rows
+        for acc, arow in zip(out, left[i].rows):
+            for k, x in arow:
+                for j, y in b[k]:
+                    acc[j] = acc.get(j, zero) + x * y
+    _add_scaled(out, zero, [(-c, m) for c, m in minus])
+    return Matrix.sparse(F, reduce_rows(F, out), right[0].ncols)
 
 
-def reduce_rows(F, rows):
-    """Dense rows of sums and products brought back to canonical scalars:
-    rows themselves over Q, where every value already is one, and fresh
-    rows of residues over F_p."""
+def _add_scaled(out, zero, terms):
+    """Add c * m into the row accumulators out for each (c, m) in terms."""
+    for c, m in terms:
+        for acc, row in zip(out, m.rows):
+            for j, v in row:
+                acc[j] = acc.get(j, zero) + c * v
+
+
+def reduce_rows(F, accumulators):
+    """{column: sum} row accumulators as canonical sparse rows: each sum
+    reduced (over F_p; over Q every sum already is canonical), zeros
+    dropped, columns in increasing order."""
     p = F.p
-    return rows if p is None else [[x % p for x in row] for row in rows]
+    if p is None:
+        return [[(j, v) for j, v in sorted(acc.items()) if v] for acc in accumulators]
+    return [[(j, r) for j, v in sorted(acc.items()) if (r := v % p)] for acc in accumulators]
 
 
 def solve(a: Matrix, b: list):

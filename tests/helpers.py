@@ -3,7 +3,9 @@
 The oracles are deliberately independent of the library paths they check:
 fraction-free (Bareiss) elimination instead of the library's Gauss-Jordan
 kernel, direct expansion of defining formulas instead of the assembled
-operators, and truncated polynomial arithmetic for series identities.
+operators, and truncated polynomial arithmetic for series identities. Every
+matrix product in an oracle is dense_product, a schoolbook triple loop over
+dense rows, never the library's sparse series product.
 
 Random algebra/module pairs come from a catalog of known-valid examples
 pushed through random unimodular basis changes, so validity is exact by
@@ -12,6 +14,7 @@ construction while the raw data looks nothing like the catalog entry.
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -124,8 +127,8 @@ def reference_differential(f: Cochain) -> Cochain:
 
     for key, mat in f.entries.items():
         for a in range(alg.dim):
-            add_to((a,) + key, mod.action[a] @ mat)
-            tail = mat @ mod.action[a]
+            add_to((a,) + key, dense_product(mod.action[a], mat))
+            tail = dense_product(mat, mod.action[a])
             add_to(key + (a,), tail if n % 2 else -tail)
         for i in range(1, n + 1):
             head, rest = key[: i - 1], key[i:]
@@ -215,7 +218,7 @@ def reference_check_deformation(d: ApproximateDeformation):
                         lhs = lhs + series[k][n].scale(c)
                 rhs = Matrix.zeros(F, mod.dim, mod.dim)
                 for a in range(n + 1):
-                    rhs = rhs + series[i][a] @ series[j][n - a]
+                    rhs = rhs + dense_product(series[i][a], series[j][n - a])
                 if lhs != rhs:
                     return n, i, j
     return None
@@ -295,7 +298,7 @@ def reference_validate_module(mod: Module):
     out = []
     for i in range(alg.dim):
         for j in range(alg.dim):
-            if mod.action[i] @ mod.action[j] != act(mod, alg.structure[i][j]):
+            if dense_product(mod.action[i], mod.action[j]) != act(mod, alg.structure[i][j]):
                 out.append(
                     Violation(
                         "multiplicativity",
@@ -376,6 +379,33 @@ def matvec(mat: Matrix, v):
     return [F.reduce(sum((a * x for a, x in zip(row, v) if a and x), F.zero)) for row in mat.data]
 
 
+def dense_product(a: Matrix, b: Matrix):
+    """a times b by the schoolbook triple loop over dense rows, every term
+    summed from the field's zero and reduced once."""
+    assert a.field == b.field and a.ncols == b.nrows, "factors do not match"
+    F = a.field
+    bd = b.data
+    out = [
+        [F.reduce(sum((x * bd[k][j] for k, x in enumerate(row)), F.zero)) for j in range(b.ncols)]
+        for row in a.data
+    ]
+    return Matrix(F, out, b.ncols)
+
+
+def record_dense_reads(monkeypatch):
+    """Patch Matrix.data to record each read as (the reading function's
+    code object, nrows, ncols); returns the list they are recorded in."""
+    reads = []
+    view = Matrix.data
+
+    def recorded(self):
+        reads.append((sys._getframe(1).f_code, self.nrows, self.ncols))
+        return view.fget(self)
+
+    monkeypatch.setattr(Matrix, "data", property(recorded))
+    return reads
+
+
 def frac_mat(rows):
     return Matrix(QQ, [[Fraction(x) for x in row] for row in rows])
 
@@ -435,12 +465,13 @@ def jordan_sum(n, sizes):
     assert all(1 <= a <= n for a in sizes)
     alg = truncated_poly_algebra(n)
     d = sum(sizes)
-    s = Matrix.zeros(QQ, d, d)
+    shift = Matrix.zeros(QQ, d, d).data
     offset = 0
     for a in sizes:
         for r in range(offset, offset + a - 1):
-            s.data[r][r + 1] = Fraction(1)
+            shift[r][r + 1] = Fraction(1)
         offset += a
+    s = Matrix(QQ, shift)
     action = [Matrix.identity(QQ, d)]
     for _ in range(1, n):
         action.append(action[-1] @ s)
@@ -468,10 +499,10 @@ def projector_module(n, sizes):
     action = []
     offset = 0
     for s in sizes:
-        m = Matrix.zeros(QQ, d, d)
+        m = Matrix.zeros(QQ, d, d).data
         for i in range(offset, offset + s):
-            m.data[i][i] = Fraction(1)
-        action.append(m)
+            m[i][i] = Fraction(1)
+        action.append(Matrix(QQ, m))
         offset += s
     return alg, Module(alg, action)
 
@@ -534,12 +565,12 @@ def random_unimodular(rng, n, shears=4):
         if i == j:
             continue
         c = Fraction(rng.choice((-2, -1, 1, 2)))
-        shear = Matrix.identity(QQ, n)
-        shear.data[i][j] = c
-        unshear = Matrix.identity(QQ, n)
-        unshear.data[i][j] = -c
-        p = p @ shear
-        pinv = unshear @ pinv
+        shear = Matrix.identity(QQ, n).data
+        shear[i][j] = c
+        unshear = Matrix.identity(QQ, n).data
+        unshear[i][j] = -c
+        p = p @ Matrix(QQ, shear)
+        pinv = Matrix(QQ, unshear) @ pinv
     return p, pinv
 
 
@@ -663,7 +694,7 @@ def poly_mat_mul(a, b, order):
         for j, bj in enumerate(b):
             if i + j > order:
                 break
-            out[i + j] = out[i + j] + ai @ bj
+            out[i + j] = out[i + j] + dense_product(ai, bj)
     return out
 
 

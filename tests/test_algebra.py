@@ -139,7 +139,7 @@ def algebra_module_tables(draw, field=None):
     n, d = alg.dim, mod.dim
     structure = [[list(v) for v in row] for row in alg.structure]
     unit = list(alg.unit)
-    action = [Matrix(F, [r[:] for r in m.data], d) for m in mod.action]
+    action = [m.data for m in mod.action]
 
     def index(size):
         return draw(st.integers(0, size - 1))
@@ -150,9 +150,9 @@ def algebra_module_tables(draw, field=None):
     elif where == "unit":
         unit[index(n)] = draw(scalar)
     else:
-        action[index(n)].data[index(d)][index(d)] = draw(scalar)
+        action[index(n)][index(d)][index(d)] = draw(scalar)
     alg = Algebra(F, structure, unit)
-    return alg, Module(alg, action)
+    return alg, Module(alg, [Matrix(F, rows, d) for rows in action])
 
 
 @settings(max_examples=400)

@@ -24,6 +24,7 @@ from helpers import (
     random_cochain,
     random_cocycle,
     random_pair,
+    record_dense_reads,
 )
 from moddef import algebra
 from moddef import documents as docs
@@ -229,6 +230,18 @@ def test_exit_code_matrix(tmp_path):
             assert code == expected, (command, fixture, result)
             assert result is not None
             assert result["command"] == command
+
+
+def test_only_the_encoder_reads_the_dense_view(monkeypatch):
+    """Every command on every fixture computes on sparse rows; the one
+    reader of Matrix.data is the encoder of a result's matrices."""
+    problems = {name: docs.parse_problem(doc) for name, doc in FIXTURE_DOCS.items()}
+    reads = record_dense_reads(monkeypatch)
+    for name, problem in problems.items():
+        for command in ALL_COMMANDS:
+            _, code = run(command, problem)
+            assert code == EXPECTED_EXITS.get((command, name), 0), (command, name)
+    assert reads and all(code is docs.encode_matrix.__code__ for code, _, _ in reads)
 
 
 def test_validate_reports_violation(tmp_path):

@@ -19,6 +19,7 @@ from helpers import (
     random_cochain,
     random_matrix,
     random_pair,
+    record_dense_reads,
     reference_cohomology,
     reference_differential,
     reference_differential_matrix,
@@ -36,7 +37,15 @@ from moddef.cochain import (
     differential_matrix,
     is_cocycle,
 )
-from moddef.deformation import integrate, rigidity_check
+from moddef.deformation import (
+    ApproximateDeformation,
+    FormalAutomorphism,
+    check_deformation,
+    conjugate,
+    integrate,
+    normalize,
+    rigidity_check,
+)
 from moddef.documents import parse_problem
 from moddef.errors import InputError, ResourceError
 from moddef.fields import PrimeField, QQ
@@ -271,34 +280,42 @@ def test_random_assembly_is_the_scatter_oracles_byte_for_byte(seed, degree, p):
 
 
 def test_library_paths_never_densify_a_sparse_matrix(monkeypatch):
-    """Assembly, elimination, kernel bases, solves, certificates and
-    integration all stay on sparse rows: the dense view of a differential
-    (or of any reduced form or transpose) is never built."""
-    builds = []
-    dense_view = Matrix.__getattr__
-
-    def counted(self, name):
-        if name == "data":
-            builds.append((self.nrows, self.ncols))
-        return dense_view(self, name)
-
-    monkeypatch.setattr(Matrix, "__getattr__", counted)
+    """Validation, assembly, differentials, elimination, kernel bases,
+    solves, certificates and the deformation calculus (integrate, check,
+    conjugate, normalize) all stay on sparse rows: none of them reads
+    Matrix.data, the dense view of a differential, of a reduced form or
+    of an operator."""
+    rng = random.Random(11)
+    cases = []
     for _, mod in (fixture_a(), fixture_b(), fixture_c(), jordan_module(4, 3)):
+        terms = [random_matrix(rng, mod.dim, mod.dim, density=0.6, scale=2) for _ in range(3)]
+        cases.append((mod, FormalAutomorphism(mod, terms)))
+    reads = record_dense_reads(monkeypatch)
+    for mod, phi in cases:
         F = mod.field
+        assert validate_module(mod) == []
         for degree in range(4):
             cohomology(mod, degree)
         rigidity_check(mod)
         reps = cohomology(mod, 1).representatives
+        d = ApproximateDeformation(mod, [Cochain(mod, 1)] * 3)
         if reps:
-            integrate(reps[0], 4)
+            d = integrate(reps[0], 4)
+            if not isinstance(d, ApproximateDeformation):
+                d = integrate(reps[0], d[0])
+        moved = conjugate(phi, d)
+        for deformation in (d, moved):
+            assert check_deformation(deformation) is None
+            normalize(deformation)
         one = Matrix.identity(F, mod.dim)
         for degree in (1, 2):
             lone = Cochain(mod, degree, {(0,) * degree: one})
             bound = differential(Cochain(mod, degree - 1, {(0,) * (degree - 1): one}))
-            for f in (lone, bound):
+            for f in (lone, bound, differential(lone)):
                 coboundary_witness(f)
                 cokernel_certificate(f)
-    assert builds == []
+    assert reads == []
+    assert Matrix.identity(QQ, 2).data and len(reads) == 1  # the recorder is live
 
 
 def test_degree_guardrail(monkeypatch):
@@ -770,8 +787,9 @@ def test_cohomology_refuses_an_invalid_module():
     stacked oracle finds more coboundaries than cocycles."""
     rng = random.Random(3)
     alg, mod = random_pair(rng)
-    action = [Matrix(m.field, [row[:] for row in m.data], m.ncols) for m in mod.action]
-    action[rng.randrange(3)].data[rng.randrange(3)][rng.randrange(3)] += 1
+    rows = [m.data for m in mod.action]
+    rows[rng.randrange(3)][rng.randrange(3)][rng.randrange(3)] += 1
+    action = [Matrix(m.field, r, m.ncols) for m, r in zip(mod.action, rows)]
     oracle = reference_cohomology(Module(alg, action), 1)
     assert oracle.dim_coboundaries > oracle.dim_cocycles
     for check in (lambda m: cohomology(m, 1), rigidity_check):

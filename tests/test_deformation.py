@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     deformation_value_series,
+    dense_product,
     frac_mat,
     over_prime,
     poly_mat_mul,
@@ -484,7 +485,7 @@ def test_series_term_matches_naive_product_sum(case):
     want = Matrix.zeros(field, left[0].nrows, right[0].ncols)
     for i in range(n + 1):
         if i < len(left) and n - i < len(right):
-            want = want + left[i] @ right[n - i]
+            want = want + dense_product(left[i], right[n - i])
     got = series_term(left, right, n)
     assert got == want
     assert all(type(x) is (Fraction if field == QQ else int) for row in got.data for x in row)
@@ -525,14 +526,14 @@ def deformations(draw):
     r, c = rng.randrange(mod.dim), rng.randrange(mod.dim)
     delta = F.parse(str(rng.choice((-2, -1, 1, 2, 3))))
     if where == "action":
-        action = [Matrix(F, [row[:] for row in m.data]) for m in mod.action]
-        action[a].data[r][c] = F.reduce(action[a].data[r][c] + delta)
-        mod = Module(alg, action)
+        action = [m.data for m in mod.action]
+        action[a][r][c] = F.reduce(action[a][r][c] + delta)
+        mod = Module(alg, [Matrix(F, rows) for rows in action])
         return ApproximateDeformation(mod, [Cochain(mod, 1, t.entries) for t in d.terms])
     n = rng.randrange(d.order)
-    mat = d.terms[n].value((a,))
-    mat = Matrix(F, [row[:] for row in mat.data])
-    mat.data[r][c] = F.reduce(mat.data[r][c] + delta)
+    rows = d.terms[n].value((a,)).data
+    rows[r][c] = F.reduce(rows[r][c] + delta)
+    mat = Matrix(F, rows)
     terms = list(d.terms)
     terms[n] = Cochain(mod, 1, {**terms[n].entries, (a,): mat})
     return ApproximateDeformation(mod, terms)

@@ -9,7 +9,7 @@ from helpers import frac_mat, matvec, oracle_rref, random_matrix, random_mod_mat
 from moddef import _kernel_py as kernel
 from moddef.errors import InputError
 from moddef.fields import PrimeField, QQ
-from moddef.linalg import Matrix, solve
+from moddef.linalg import Matrix, series_term, solve
 
 
 def test_rref_identity():
@@ -101,31 +101,58 @@ def test_kernel_basis_builds_the_columns_asked_for():
         Matrix(QQ, [[1, 2]]).kernel_basis([0])
 
 
-@settings(max_examples=60)
-@given(st.sampled_from((2, 7, 13)), st.data())
+@settings(max_examples=150)
+@given(st.sampled_from((None, 13, 2**61 - 1)), st.data())
 def test_matrix_operators_agree_with_integer_arithmetic_mod_p(p, data):
-    """Plain sums, differences, negatives and products of residues leave
-    [0, p); every Matrix operator brings them back."""
-    f = PrimeField(p)
+    """Every Matrix operator agrees with plain dense arithmetic over Q
+    (p None) and with integer arithmetic mod p, and leaves canonical rows:
+    strictly increasing columns and nonzero values only, residues in
+    (0, p) over F_p. Small entries and their negatives, with zero cells,
+    make sums cancel exactly."""
+    F = QQ if p is None else PrimeField(p)
+    if p is None:
+        nonzero = st.one_of(
+            st.sampled_from((-3, -2, -1, 1, 2, 3)),
+            st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3)),
+        )
+    else:
+        nonzero = st.one_of(st.sampled_from((1, 2, 3, p - 3, p - 2, p - 1)), st.integers(1, p - 1))
+    cells = st.one_of(st.just(F.zero), nonzero)
     n, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
-    cells = st.integers(0, p - 1)
 
     def mat(nrows, ncols):
-        return Matrix(f, [[data.draw(cells) for _ in range(ncols)] for _ in range(nrows)], ncols)
+        return Matrix(F, [[data.draw(cells) for _ in range(ncols)] for _ in range(nrows)], ncols)
 
-    a, a2, b = mat(n, k), mat(n, k), mat(k, c)
-    s = data.draw(cells)
-    want = {
-        "+": [[(x + y) % p for x, y in zip(r, q)] for r, q in zip(a.data, a2.data)],
-        "-": [[(x - y) % p for x, y in zip(r, q)] for r, q in zip(a.data, a2.data)],
-        "neg": [[-x % p for x in r] for r in a.data],
-        "scale": [[s * x % p for x in r] for r in a.data],
-        "@": [[sum(x * y for x, y in zip(r, col)) % p for col in zip(*b.data)] for r in a.data],
+    def red(x):
+        return x if p is None else x % p
+
+    def product(x, y):
+        return [[red(sum(u * v for u, v in zip(r, col))) for col in zip(*y)] for r in x]
+
+    a, a2, b, b2, m = mat(n, k), mat(n, k), mat(k, c), mat(k, c), mat(n, c)
+    A, A2, B, B2, M = a.data, a2.data, b.data, b2.data, m.data
+    s = data.draw(st.one_of(st.just(F.zero), nonzero))
+    term = [
+        [red(x + y - s * z) for x, y, z in zip(*rows)]
+        for rows in zip(product(A, B2), product(A2, B), M)
+    ]
+    got = {
+        "+": (a + a2, [[red(x + y) for x, y in zip(r, q)] for r, q in zip(A, A2)]),
+        "-": (a - a2, [[red(x - y) for x, y in zip(r, q)] for r, q in zip(A, A2)]),
+        "neg": (-a, [[red(-x) for x in r] for r in A]),
+        "scale": (a.scale(s), [[red(s * x) for x in r] for r in A]),
+        "scale by 0": (a.scale(F.zero), [[0] * k for _ in range(n)]),
+        "@": (a @ b, product(A, B)),
+        "series_term": (series_term([a, a2], [b, b2], 1, [(s, m)]), term),
+        "a + (-a)": (a + (-a), [[0] * k for _ in range(n)]),
     }
-    got = {"+": a + a2, "-": a - a2, "neg": -a, "scale": a.scale(s), "@": a @ b}
-    for op, m in got.items():
-        assert m.data == want[op], op
-        assert all(0 <= x < p for row in m.data for x in row), op
+    for op, (got_m, want) in got.items():
+        assert got_m.data == want, op
+        for row in got_m.rows:
+            columns = [j for j, _ in row]
+            assert columns == sorted(set(columns)), op
+            assert all(v != 0 if p is None else 0 < v < p for _, v in row), op
+    assert got["a + (-a)"][0].is_zero()
 
 
 def test_solve_identity():
