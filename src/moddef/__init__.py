@@ -4,84 +4,67 @@ Computes the cochain complex of an algebra with operator coefficients, its
 cohomology, obstruction cocycles, order-by-order integration of truncated
 deformations, normalization, and equivalence witnesses, all over the
 rationals or a prime field with no rounding anywhere.
+
+Each public name is imported from its module on first access (PEP 562),
+so importing the package, or running a command that needs few of them,
+loads only the modules that are used.
 """
 
-from ._backend import BACKEND as kernel_backend
-from .algebra import (
-    Algebra,
-    Module,
-    Violation,
-    validate_algebra,
-    validate_module,
-)
-from .cochain import (
-    Cochain,
-    CohomologyReport,
-    coboundary_witness,
-    cohomology,
-    cokernel_certificate,
-    differential,
-    differential_matrix,
-    is_cocycle,
-)
-from .deformation import (
-    ApproximateDeformation,
-    FormalAutomorphism,
-    ObstructionOutcome,
-    RigidityResult,
-    check_deformation,
-    conjugate,
-    equivalent_one_step,
-    extend_once,
-    infinitesimal,
-    integrate,
-    normalize,
-    obstruction,
-    obstruction_outcome,
-    rigidity_check,
-)
-from .errors import InputError, ResourceError
-from .fields import PrimeField, QQ, Rationals, field_from_name
-from .linalg import Matrix, solve
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algebra",
-    "ApproximateDeformation",
-    "Cochain",
-    "CohomologyReport",
-    "FormalAutomorphism",
-    "InputError",
-    "Matrix",
-    "Module",
-    "ObstructionOutcome",
-    "PrimeField",
-    "QQ",
-    "Rationals",
-    "ResourceError",
-    "RigidityResult",
-    "Violation",
-    "check_deformation",
-    "coboundary_witness",
-    "cohomology",
-    "cokernel_certificate",
-    "conjugate",
-    "differential",
-    "differential_matrix",
-    "equivalent_one_step",
-    "extend_once",
-    "field_from_name",
-    "infinitesimal",
-    "integrate",
-    "is_cocycle",
-    "kernel_backend",
-    "normalize",
-    "obstruction",
-    "obstruction_outcome",
-    "rigidity_check",
-    "solve",
-    "validate_algebra",
-    "validate_module",
-    "__version__",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "kernel_backend": "_backend",
+    "Algebra": "algebra",
+    "Module": "algebra",
+    "Violation": "algebra",
+    "validate_algebra": "algebra",
+    "validate_module": "algebra",
+    "Cochain": "cochain",
+    "CohomologyReport": "cochain",
+    "coboundary_witness": "cochain",
+    "cohomology": "cochain",
+    "cokernel_certificate": "cochain",
+    "differential": "cochain",
+    "differential_matrix": "cochain",
+    "is_cocycle": "cochain",
+    "ApproximateDeformation": "deformation",
+    "FormalAutomorphism": "deformation",
+    "ObstructionOutcome": "deformation",
+    "RigidityResult": "deformation",
+    "check_deformation": "deformation",
+    "conjugate": "deformation",
+    "equivalent_one_step": "deformation",
+    "extend_once": "deformation",
+    "infinitesimal": "deformation",
+    "integrate": "deformation",
+    "normalize": "deformation",
+    "obstruction": "deformation",
+    "obstruction_outcome": "deformation",
+    "rigidity_check": "deformation",
+    "InputError": "errors",
+    "ResourceError": "errors",
+    "PrimeField": "fields",
+    "QQ": "fields",
+    "Rationals": "fields",
+    "field_from_name": "fields",
+    "Matrix": "linalg",
+    "solve": "linalg",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -8,4 +8,5 @@ wrap it in one place.
 
 from . import _kernel_py as kernel
 
-BACKEND = "python"
+# exported as moddef.kernel_backend
+kernel_backend = "python"

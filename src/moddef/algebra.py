@@ -14,7 +14,7 @@ axioms.
 Basis labels are decorative; indices are authoritative.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import InputError
@@ -22,11 +22,7 @@ from .fields import integral
 from .linalg import Matrix, series_term
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    where: tuple
-    message: str
+Violation = namedtuple("Violation", "kind where message")
 
 
 class Algebra:

@@ -8,7 +8,9 @@ or resource error, or a result that cannot be written (diagnostic on
 stderr, no result document).
 
 The argument parser is built once per process and shared by every call
-of `main`; parsing reads it and never changes it.
+of `main`; parsing reads it and never changes it. The cochain and
+deformation modules are imported by the first command that computes, and
+the fixtures by `--fixtures`, so `validate` runs without any of them.
 """
 
 import argparse
@@ -17,21 +19,7 @@ import sys
 
 from . import documents as doc
 from .algebra import require_valid, validate_algebra, validate_module
-from .cochain import coboundary_witness, cohomology, cokernel_certificate, differential
-from .deformation import (
-    ApproximateDeformation,
-    ObstructionOutcome,
-    check_deformation,
-    conjugate,
-    equivalent_one_step,
-    extend_once,
-    integrate,
-    normalize,
-    obstruction_outcome,
-    rigidity_check,
-)
 from .errors import InputError, ResourceError
-from .fixtures import fixture_documents
 
 COMMANDS = (
     "validate",
@@ -66,6 +54,15 @@ def build_parser():
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _engine():
+    """The cochain and deformation modules, imported once, by the first
+    command that needs them."""
+    from . import cochain, deformation
+
+    return cochain, deformation
+
+
 def _require(problem, name):
     value = getattr(problem, name)
     if value is None:
@@ -75,21 +72,23 @@ def _require(problem, name):
 
 def _require_deformation(problem, name="deformation"):
     d = _require(problem, name)
-    issue = check_deformation(d)
+    _, deformation = _engine()
+    issue = deformation.check_deformation(d)
     if issue is not None:
         raise InputError(f"invalid {name}: {issue.message}")
     return d
 
 
-def _certificate(cochain):
-    cert = cokernel_certificate(cochain)
+def _certificate(f):
+    cochain, _ = _engine()
+    cert = cochain.cokernel_certificate(f)
     if cert is None:
         return None
     y, pairing = cert
     return {"functional": doc.encode_vector(y), "pairing": str(pairing)}
 
 
-def _outcome_payload(outcome: ObstructionOutcome):
+def _outcome_payload(outcome):
     payload = doc.encode_obstruction_outcome(outcome)
     if outcome.witness is None:
         payload["no_witness_certificate"] = _certificate(-outcome.obstruction)
@@ -114,9 +113,10 @@ def run(command, problem: doc.ProblemDocument):
 
     module = problem.module
     require_valid(module)
+    cochain, deformation = _engine()
 
     if command == "cohomology":
-        reports = [cohomology(module, n) for n in range(problem.degree + 1)]
+        reports = [cochain.cohomology(module, n) for n in range(problem.degree + 1)]
         result["verdict"] = "computed"
         result["cohomology"] = [doc.encode_cohomology_report(r) for r in reports]
         result["dims"] = {f"H{r.degree}": r.dim_cohomology for r in reports}
@@ -124,7 +124,7 @@ def run(command, problem: doc.ProblemDocument):
 
     if command == "cocycle":
         f = _require(problem, "cochain")
-        image = differential(f)
+        image = cochain.differential(f)
         if image.is_zero():
             result["verdict"] = "cocycle"
             result["degree"] = f.degree
@@ -143,7 +143,7 @@ def run(command, problem: doc.ProblemDocument):
 
     if command == "coboundary":
         f = _require(problem, "cochain")
-        witness = coboundary_witness(f)
+        witness = cochain.coboundary_witness(f)
         if witness is not None:
             result["verdict"] = "coboundary"
             result["witness"] = doc.encode_cochain(witness)
@@ -154,15 +154,15 @@ def run(command, problem: doc.ProblemDocument):
 
     if command == "obstruction":
         d = _require_deformation(problem)
-        outcome = obstruction_outcome(d)
+        outcome = deformation.obstruction_outcome(d)
         result["obstruction_outcome"] = _outcome_payload(outcome)
         result["verdict"] = "obstructed" if outcome.witness is None else "unobstructed"
         return result, 1 if outcome.witness is None else 0
 
     if command == "extend":
         d = _require_deformation(problem)
-        step = extend_once(d)
-        if isinstance(step, ObstructionOutcome):
+        step = deformation.extend_once(d)
+        if isinstance(step, deformation.ObstructionOutcome):
             result["verdict"] = "obstructed"
             result["obstruction_outcome"] = _outcome_payload(step)
             return result, 1
@@ -175,8 +175,8 @@ def run(command, problem: doc.ProblemDocument):
         order = problem.order
         if order is None:
             raise InputError("integrate needs a truncation order (options.order)")
-        out = integrate(sigma, order)
-        if isinstance(out, ApproximateDeformation):
+        out = deformation.integrate(sigma, order)
+        if isinstance(out, deformation.ApproximateDeformation):
             result["verdict"] = "integrated"
             result["order"] = out.order
             result["deformation"] = doc.encode_deformation(out)
@@ -189,7 +189,7 @@ def run(command, problem: doc.ProblemDocument):
 
     if command == "normalize":
         d = _require_deformation(problem)
-        normalized, auto, leading = normalize(d)
+        normalized, auto, leading = deformation.normalize(d)
         result["deformation"] = doc.encode_deformation(normalized)
         result["automorphism"] = doc.encode_automorphism(auto)
         if leading is None:
@@ -204,7 +204,7 @@ def run(command, problem: doc.ProblemDocument):
     if command == "conjugate":
         d = _require_deformation(problem)
         phi = _require(problem, "automorphism")
-        out = conjugate(phi, d)
+        out = deformation.conjugate(phi, d)
         result["verdict"] = "conjugated"
         result["deformation"] = doc.encode_deformation(out)
         return result, 0
@@ -212,7 +212,7 @@ def run(command, problem: doc.ProblemDocument):
     if command == "equiv-step":
         d1 = _require_deformation(problem)
         d2 = _require_deformation(problem, "deformation2")
-        auto = equivalent_one_step(d1, d2)
+        auto = deformation.equivalent_one_step(d1, d2)
         if auto is not None:
             result["verdict"] = "equivalent"
             result["automorphism"] = doc.encode_automorphism(auto)
@@ -224,7 +224,7 @@ def run(command, problem: doc.ProblemDocument):
         return result, 1
 
     if command == "rigidity":
-        out = rigidity_check(module)
+        out = deformation.rigidity_check(module)
         result["dims"] = {"H1": out.h1.dim_cohomology}
         if out.certified:
             result["verdict"] = "rigid-certified"
@@ -264,6 +264,8 @@ def main(argv=None) -> int:
 
     try:
         if args.fixtures:
+            from .fixtures import fixture_documents
+
             result, code = fixture_documents(), 0
         else:
             problem = doc.parse_problem(_read_input(args.input))

@@ -22,7 +22,7 @@ entries in row-major order. Cohomology representatives and witnesses are
 canonical with respect to this order.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .algebra import Module, require_valid
@@ -363,13 +363,9 @@ def cokernel_certificate(f: Cochain):
     return None
 
 
-@dataclass
-class CohomologyReport:
-    degree: int
-    dim_cocycles: int
-    dim_coboundaries: int
-    dim_cohomology: int
-    representatives: list
+CohomologyReport = namedtuple(
+    "CohomologyReport", "degree dim_cocycles dim_coboundaries dim_cohomology representatives"
+)
 
 
 def cohomology(module, degree) -> CohomologyReport:

@@ -21,10 +21,10 @@ as their term lists and treated as exact polynomials; conjugating a
 deformation by an automorphism truncates at the deformation's order.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Module, Violation, multiplicativity_defects, validate_module
-from .cochain import Cochain, CohomologyReport, coboundary_witness, cohomology, is_cocycle
+from .cochain import Cochain, coboundary_witness, cohomology, is_cocycle
 from .errors import InputError
 from .linalg import Matrix, series_term
 
@@ -155,14 +155,12 @@ def obstruction(d: ApproximateDeformation) -> Cochain:
     return Cochain(d.module, 2, dict(multiplicativity_defects(d.module, series, d.order + 1)))
 
 
-@dataclass
-class ObstructionOutcome:
+class ObstructionOutcome(namedtuple("ObstructionOutcome", "obstruction witness")):
     """witness (when present) is the canonical solution of
     differential(witness) = -obstruction, i.e. the next term itself; the
     obstruction class vanishes exactly when it is present."""
 
-    obstruction: Cochain
-    witness: Cochain | None
+    __slots__ = ()
 
 
 def obstruction_outcome(d: ApproximateDeformation) -> ObstructionOutcome:
@@ -264,10 +262,7 @@ def equivalent_one_step(d1: ApproximateDeformation, d2: ApproximateDeformation):
     return FormalAutomorphism(d1.module, [d1.module.zero_operator()] * (d1.order - 1) + [phi])
 
 
-@dataclass
-class RigidityResult:
-    certified: bool
-    h1: CohomologyReport
+RigidityResult = namedtuple("RigidityResult", "certified h1")
 
 
 def rigidity_check(module: Module) -> RigidityResult:

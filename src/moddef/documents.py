@@ -14,24 +14,16 @@ solver runs: the parser is the one place that applies them, including
 to the default top degree of cohomology.
 """
 
+import functools
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .algebra import Algebra, Module, Violation
-from .cochain import Cochain, CohomologyReport
-from .deformation import ApproximateDeformation, FormalAutomorphism, ObstructionOutcome
 from .errors import InputError
 from .fields import field_from_name
 from .linalg import Matrix
 
-
-@dataclass(frozen=True)
-class Guardrails:
-    dim_r: int = 8
-    dim_m: int = 6
-    order: int = 16
-    degree: int = 3
-
+Guardrails = namedtuple("Guardrails", "dim_r dim_m order degree", defaults=(8, 6, 16, 3))
 
 DEFAULT_GUARDRAILS = Guardrails()
 
@@ -41,15 +33,21 @@ MAX_DEGREE_GUARDRAIL = 16
 MAX_ORDER_GUARDRAIL = 64
 
 
-@dataclass
-class ProblemDocument:
-    module: Module
-    cochain: Cochain | None
-    deformation: ApproximateDeformation | None
-    deformation2: ApproximateDeformation | None
-    automorphism: FormalAutomorphism | None
-    order: int | None
-    degree: int
+# cochain, deformation, deformation2 and automorphism are None when absent
+ProblemDocument = namedtuple(
+    "ProblemDocument", "module cochain deformation deformation2 automorphism order degree"
+)
+
+
+@functools.cache
+def _payload_types():
+    """Cochain, ApproximateDeformation and FormalAutomorphism, imported by
+    the first payload decoded: a problem with no payload is parsed without
+    loading the cochain and deformation modules."""
+    from .cochain import Cochain
+    from .deformation import ApproximateDeformation, FormalAutomorphism
+
+    return Cochain, ApproximateDeformation, FormalAutomorphism
 
 
 def _expect(cond, path, message):
@@ -177,10 +175,11 @@ def decode_cochain_entries(module, data, degree, path):
 def decode_cochain(module, data, guardrails, path="cochain"):
     degree, entries = _fields(data, path, ("degree", "entries"))
     degree = _int(degree, f"{path}.degree", 0, guardrails.degree)
+    Cochain, _, _ = _payload_types()
     return Cochain(module, degree, decode_cochain_entries(module, entries, degree, f"{path}.entries"))
 
 
-def encode_cochain(f: Cochain):
+def encode_cochain(f):
     return {
         "degree": f.degree,
         "entries": [
@@ -195,6 +194,7 @@ def decode_deformation(module, data, guardrails, path="deformation"):
     order = _int(order, f"{path}.order", 0, guardrails.order)
     _expect(isinstance(terms, list) and len(terms) == order, f"{path}.terms",
             f"expected {order} terms")
+    Cochain, ApproximateDeformation, _ = _payload_types()
     cochains = [
         Cochain(module, 1, decode_cochain_entries(module, t, 1, f"{path}.terms[{i}]"))
         for i, t in enumerate(terms)
@@ -202,7 +202,7 @@ def decode_deformation(module, data, guardrails, path="deformation"):
     return ApproximateDeformation(module, cochains)
 
 
-def encode_deformation(d: ApproximateDeformation):
+def encode_deformation(d):
     return {
         "order": d.order,
         "terms": [encode_cochain(t)["entries"] for t in d.terms],
@@ -213,6 +213,7 @@ def decode_automorphism(module, data, guardrails, path="automorphism"):
     (terms,) = _fields(data, path, ("terms",))
     _expect(isinstance(terms, list), f"{path}.terms", "expected a list of matrices")
     _int(len(terms), f"{path}.terms", 0, guardrails.order)
+    _, _, FormalAutomorphism = _payload_types()
     mats = [
         decode_matrix(module.field, t, module.dim, module.dim, f"{path}.terms[{i}]")
         for i, t in enumerate(terms)
@@ -220,7 +221,7 @@ def decode_automorphism(module, data, guardrails, path="automorphism"):
     return FormalAutomorphism(module, mats)
 
 
-def encode_automorphism(phi: FormalAutomorphism):
+def encode_automorphism(phi):
     return {"terms": [encode_matrix(t) for t in phi.terms]}
 
 
@@ -228,7 +229,7 @@ def encode_violation(v: Violation):
     return {"kind": v.kind, "where": list(v.where), "message": v.message}
 
 
-def encode_cohomology_report(rep: CohomologyReport):
+def encode_cohomology_report(rep):
     return {
         "degree": rep.degree,
         "dim_cocycles": rep.dim_cocycles,
@@ -238,7 +239,7 @@ def encode_cohomology_report(rep: CohomologyReport):
     }
 
 
-def encode_obstruction_outcome(out: ObstructionOutcome):
+def encode_obstruction_outcome(out):
     return {
         "obstruction": encode_cochain(out.obstruction),
         "witness": encode_cochain(out.witness) if out.witness is not None else None,
@@ -255,7 +256,7 @@ def _parse_guardrails(raw):
     caps = {k: _int(v, f"options.guardrails.{k}", 1) for k, v in raw.items()}
     for key, most in (("order", MAX_ORDER_GUARDRAIL), ("degree", MAX_DEGREE_GUARDRAIL)):
         _expect(caps.get(key, 1) <= most, f"options.guardrails.{key}", f"must be <= {most}")
-    return replace(DEFAULT_GUARDRAILS, **caps)
+    return DEFAULT_GUARDRAILS._replace(**caps)
 
 
 # the optional payloads of a problem document, by key, with their decoders

@@ -32,7 +32,8 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_ops")
 
     def __init__(self, field, data, ncols=None):
-        """The matrix with these dense rows; only their nonzeros are kept."""
+        """The matrix with these dense rows; only their nonzeros are kept,
+        reduced (over F_p each entry is taken % p)."""
         if data:
             ncols = len(data[0]) if ncols is None else ncols
         elif ncols is None:
@@ -41,7 +42,11 @@ class Matrix:
             if len(row) != ncols:
                 raise InputError("ragged matrix rows")
         self.field, self.nrows, self.ncols = field, len(data), ncols
-        self.rows = [[(j, v) for j, v in enumerate(row) if v] for row in data]
+        p = field.p
+        if p is None:
+            self.rows = [[(j, v) for j, v in enumerate(row) if v] for row in data]
+        else:
+            self.rows = [[(j, r) for j, v in enumerate(row) if (r := v % p)] for row in data]
         self._rref = self._ops = None
 
     @classmethod

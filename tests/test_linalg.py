@@ -214,6 +214,21 @@ def test_big_modulus_path():
     assert matvec(m, x) == [1, 0, 0]
 
 
+def test_dense_constructor_reduces_multiples_of_p_to_zero():
+    # unreduced, 7 and 14 were kept as nonzeros and elimination raised
+    m = Matrix(PrimeField(7), [[7, 0], [0, 14]])
+    assert m.is_zero()
+    assert m.rows == [[], []]
+    assert m.rank() == 0
+
+
+def test_dense_constructor_reduces_entries_into_0_to_p():
+    f = PrimeField(7)
+    m = Matrix(f, [[8, -1]])
+    assert m == Matrix(f, [[1, 6]])
+    assert m.rows == [[(0, 1), (1, 6)]]
+
+
 def test_matrix_shape_validation():
     with pytest.raises(InputError):
         Matrix(QQ, [[Fraction(1)], [Fraction(1), Fraction(2)]])
