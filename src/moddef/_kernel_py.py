@@ -19,17 +19,21 @@ fresh list, the pivot rows in pivot order followed by one empty row for
 each row below the rank.
 
 Every row is held as integer numerators over one positive integer
-denominator of its own. It starts as the lcm of the row's denominators, 1
-for an integral row, and it is always 1 over F_p, where the numerators are
-the residues and each new one is taken % p. So the
-arithmetic is on ints, and over Q no gcd is paid per entry (Bareiss, Math.
-Comp. 22, 1968, eliminates over Z alike). Over Q a pivot row is scaled to
-a pivot of 1 by putting its numerators over the pivot's numerator, the
-sign moved to the numerators, and its content (the gcd of the denominator
-and every numerator) is removed. Subtracting f / d times a pivot row over
-D from a row over d puts that row over d D / gcd(f, D); only then has its
-denominator grown, and only then is its content removed. Over Q the
-reduced rows leave as Fractions.
+denominator of its own. It is always 1 over F_p, where the numerators are
+the residues and each new one is taken % p. Over Q a matrix whose entries
+are all ints is read the same way, each row as it stands over 1; any other
+puts each row over the lcm of its denominators (1 for an integral row).
+So the arithmetic is on ints, and over Q no gcd is paid per entry
+(Bareiss, Math. Comp. 22, 1968, eliminates over Z alike). Over Q a pivot
+row is scaled to a pivot of 1 by putting its numerators over the pivot's
+numerator, the sign moved to the numerators, and its content (the gcd of
+the denominator and every numerator) is removed. Subtracting f / d times
+a pivot row over D from a row over d puts that row over d D / gcd(f, D);
+only then has its denominator grown, and only then is its content
+removed. A reduced row over 1 (every row over F_p) leaves as it stands,
+its entries ints; over a larger denominator each entry leaves as an int
+where it is integral and as a Fraction elsewhere, so no entry is a
+Fraction with denominator 1.
 
 The elimination can record its row operations, one (pivot row, pivot
 inverse or None, [(row, factor), ...]) triple per pivot: scale the pivot
@@ -43,6 +47,7 @@ solve without a second elimination.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -58,14 +63,14 @@ def _rref(rows, ncols, p, ops):
     # sparse[i]: the integer numerators of row i as {column: nonzero}, over
     # the positive denominator den[i] (always 1 over F_p); index[c]: the
     # rows that hold, or once held, a nonzero in column c
-    if p is None:
-        sparse, den = [], []
-        for row in rows:
-            d = lcm(*[v.denominator for _, v in row])
-            sparse.append({j: v.numerator * (d // v.denominator) for j, v in row})
-            den.append(d)
-    else:
-        sparse, den = [dict(row) for row in rows], [1] * nrows
+    sparse, den = [dict(row) for row in rows], [1] * nrows
+    # over Q, an all-int matrix is read as it is, like a matrix over F_p;
+    # any other puts each row over the lcm of its denominators (a Fraction
+    # with denominator 1, too, becomes its int numerator)
+    if p is None and not set(map(type, chain.from_iterable(map(dict.values, sparse)))) <= {int}:
+        for i, row in enumerate(sparse):
+            d = den[i] = lcm(*[v.denominator for v in row.values()])
+            sparse[i] = {j: v.numerator * (d // v.denominator) for j, v in row.items()}
     index = [[] for _ in range(ncols)]
     for i, d in enumerate(sparse):
         for j in d:
@@ -167,7 +172,9 @@ def _rref(rows, ncols, p, ops):
         row = sparse[i]
         d = row[c] = den[i]
         row = sorted(row.items())
-        out.append(row if p is not None else [(j, Fraction(v, d)) for j, v in row])
+        # a row over 1 (every row over F_p) leaves as it stands, on ints;
+        # over a larger denominator an integral entry leaves as an int too
+        out.append(row if d == 1 else [(j, Fraction(v, d) if v % d else v // d) for j, v in row])
     out += [[] for _ in range(nrows - len(pivots))]
     return out, tuple(pivots)
 

@@ -16,8 +16,19 @@ matrix are a view, built afresh on each read of ``data``, for encoding
 and tests.
 """
 
-from ._backend import kernel
+import functools
+
 from .errors import InputError
+
+
+@functools.cache
+def _kernel():
+    """The elimination kernel, imported once, by the first elimination or
+    solve (validation never eliminates). Callers read its entry points
+    from the module on each call, so a tracer's patches of them hold."""
+    from ._backend import kernel
+
+    return kernel
 
 
 class Matrix:
@@ -145,6 +156,7 @@ class Matrix:
             rows = self.rows
             ops = []
             p = self.field.p
+            kernel = _kernel()
             if p is None:
                 reduced, pivots = kernel.rref_rational(rows, self.ncols, ops=ops)
             else:
@@ -226,12 +238,15 @@ def solve(a: Matrix, b: list):
     None when b is outside the column span of a. Replaying a's recorded
     row operations on b gives the last column of [a | b] eliminated as
     a was: pivot k's variable is its entry at pivot k's row, and b is in
-    the span exactly when every other entry is zero."""
+    the span exactly when every other entry is zero. Over F_p, b is
+    reduced first (each entry taken % p), as Matrix(field, rows) reduces
+    its entries, so the answer holds residues."""
     if len(b) != a.nrows:
         raise InputError(f"right-hand side length {len(b)} != row count {a.nrows}")
     _, pivots = a.rref()
     F = a.field
-    y = kernel.replay(a._ops, list(b), F.p)
+    p = F.p
+    y = _kernel().replay(a._ops, list(b) if p is None else [v % p for v in b], p)
     x = [F.zero] * a.ncols
     for (i, _, _), pc in zip(a._ops, pivots):
         x[pc], y[i] = y[i], F.zero

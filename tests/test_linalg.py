@@ -473,6 +473,57 @@ def test_sparse_kernel_matches_oracle_in_any_row_order(case):
         assert solve(m, b) == reference_solve(m, b)
 
 
+@st.composite
+def integral_sparse_matrices(draw):
+    """(rows as ints, the same rows as Fractions, the same rows mixed,
+    ncols): a sparse integer matrix of up to 30x20 at 5-40% density with
+    entries in [-6, 6] and a few up to 10^12 in size; the mixed form holds
+    some entries as Fraction(k) and the rest as ints."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nrows, ncols = draw(st.integers(1, 30)), draw(st.integers(1, 20))
+    density = draw(st.sampled_from((0.05, 0.15, 0.4)))
+
+    def entry():
+        k = rng.choice((-6, -4, -3, -2, -1, 1, 1, 2, 3, 5, 6))
+        return k * rng.randint(1, 10**12) if rng.random() < 0.05 else k
+
+    ints = [[(j, entry()) for j in range(ncols) if rng.random() < density] for _ in range(nrows)]
+    fractions = [[(j, Fraction(v)) for j, v in row] for row in ints]
+    mixed = [[(j, Fraction(v) if rng.random() < 0.5 else v) for j, v in row] for row in ints]
+    return ints, fractions, mixed, ncols
+
+
+@settings(max_examples=200)
+@given(integral_sparse_matrices())
+def test_integral_matrix_eliminates_alike_as_ints_fractions_or_mixed(case):
+    """An all-int matrix is read as it stands; one holding any Fraction,
+    even Fraction(k), goes over the lcm of each row's denominators. Both
+    readings give equal reduced rows, pivots and recorded operations, and
+    the reduced rows hold no Fraction with denominator 1: a row over 1
+    leaves on ints, and an integral entry of a row over a larger
+    denominator leaves as an int too."""
+    ints, fractions, mixed, ncols = case
+    results = []
+    for rows in (ints, fractions, mixed):
+        ops = []
+        reduced, pivots = kernel.rref_rational(rows, ncols, ops)
+        assert all(type(v) is int or v.denominator > 1 for row in reduced for _, v in row)
+        results.append((reduced, pivots, ops))
+    assert results[0] == results[1] == results[2]
+    reduced, pivots, _ = results[0]
+    assert (Matrix.sparse(QQ, reduced, ncols), pivots) == oracle_rref(Matrix.sparse(QQ, ints, ncols))
+
+
+def test_solve_over_fp_reduces_the_right_hand_side():
+    """A right-hand side given off the residues is read as its residues,
+    as the dense constructor reads a matrix: 7 is 0 over F_7, and -1 is 6."""
+    a = Matrix(PrimeField(7), [[1, 0], [0, 1], [1, 1]])
+    assert solve(a, [0, 0, 7]) == [0, 0]
+    assert solve(a, [-1, 0, 6]) == [6, 0]
+    assert solve(a, [8, -13, 16]) == [1, 1]
+    assert solve(a, [0, 0, 8]) is None
+
+
 _MERSENNE_61 = PrimeField(2**61 - 1)
 
 

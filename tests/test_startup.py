@@ -3,10 +3,11 @@
 Start-up is most of the wall time of one `python -m moddef` call, and every
 module it imports is paid for (compiled too, when no bytecode is cached).
 So a command loads only the modules it runs: `validate` needs neither the
-cochain complex, nor the deformation calculus, nor the fixtures, and no
-call loads `dataclasses`, whose own imports (`inspect`, `ast`, `dis`,
-`tokenize`) cost about as much as a moddef module. Each check runs in a
-fresh interpreter, since this process has long since imported everything.
+cochain complex, nor the deformation calculus, nor the elimination kernel,
+nor the fixtures, and no call loads `dataclasses`, whose own imports
+(`inspect`, `ast`, `dis`, `tokenize`) cost about as much as a moddef
+module. Each check runs in a fresh interpreter, since this process has
+long since imported everything.
 """
 
 import importlib
@@ -72,7 +73,8 @@ def test_validate_loads_no_cochain_deformation_fixtures_or_dataclasses(bare_b, t
     out = tmp_path / "out.json"
     code, loaded = child(RUN_MAIN, "validate", str(bare_b), "--output", str(out))
     assert code == 0 and json.loads(out.read_text())["verdict"] == "valid"
-    assert not set(loaded) & {"moddef.cochain", "moddef.deformation", *NEVER_LOADED}
+    unloaded = {"moddef.cochain", "moddef.deformation", "moddef._backend", "moddef._kernel_py"}
+    assert not set(loaded) & {*unloaded, *NEVER_LOADED}
     assert {"moddef.cli", "moddef.documents", "moddef.algebra"} <= set(loaded)
 
 
@@ -80,7 +82,7 @@ def test_cohomology_loads_the_cochain_complex_and_no_fixtures(bare_b, tmp_path):
     out = tmp_path / "out.json"
     code, loaded = child(RUN_MAIN, "cohomology", str(bare_b), "--output", str(out))
     assert code == 0 and json.loads(out.read_text())["dims"] == {"H0": 1, "H1": 0, "H2": 0}
-    assert "moddef.cochain" in loaded
+    assert {"moddef.cochain", "moddef._kernel_py"} <= set(loaded)
     assert not set(loaded) & NEVER_LOADED
 
 
