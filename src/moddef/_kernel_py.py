@@ -38,12 +38,11 @@ Fraction with denominator 1.
 The elimination can record its row operations, one (pivot row, pivot
 inverse or None, [(row, factor), ...]) triple per pivot: scale the pivot
 row by the inverse, then subtract factor times it from each listed row.
-The inverse and the factors are field values, not numerators: over Q the
-inverse is an int when it is integral and a factor is an int when its
-row's denominator is 1, else each is a Fraction. Replaying that record on
-a column vector gives the column that eliminating [A | b] would have
-produced, entry i for row i, so a factorised matrix answers every later
-solve without a second elimination.
+The inverse and the factors are field values, not numerators: over Q
+each is an int where it is integral, else a Fraction. Replaying that
+record on a column vector gives the column that eliminating [A | b]
+would have produced, entry i for row i, so a factorised matrix answers
+every later solve without a second elimination.
 """
 
 from fractions import Fraction
@@ -134,7 +133,7 @@ def _rref(rows, ncols, p, ops):
             m = 1
             if p is None:
                 di = den[i]
-                factors.append((i, f if di == 1 else Fraction(f, di)))
+                factors.append((i, f if di == 1 else f // di if f % di == 0 else Fraction(f, di)))
                 if dp != 1:
                     g = gcd(f, dp)
                     f //= g

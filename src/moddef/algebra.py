@@ -117,6 +117,9 @@ class Module:
         self.action = list(action)
         # degree -> assembled differential matrix (cochain.differential_matrix)
         self._differentials = {}
+        # the complex relative to the unit's idempotents, once cohomology
+        # has looked for it (cochain._relative_complex); False if none
+        self._relative = None
         # the module's violations, once validate_module has computed them
         self._violations = None
 

@@ -20,6 +20,12 @@ Flattening convention, fixed for reproducibility: coordinates are indexed
 by basis tuples in lexicographic order (tuple-major), then operator
 entries in row-major order. Cohomology representatives and witnesses are
 canonical with respect to this order.
+
+When the unit is a sum of two or more orthogonal idempotents among the
+basis elements (up to nonzero scalars), the cochains relative to their
+span form a much smaller subcomplex with the same cohomology, cut out by
+coordinates. Cohomology reads every dimension off it first, and builds
+the full d_n only where H^n > 0, for the canonical representatives.
 """
 
 from collections import namedtuple
@@ -176,9 +182,13 @@ class _Stencil:
     summed, reduced and tested. Over Q an integral action entry is held
     as an int, as ``Algebra.products`` holds an integral structure
     constant, so the d_n of an integral pair is assembled from ints
-    alone."""
+    alone.
 
-    def __init__(self, module, degree):
+    The terms of the basis elements in skip are left out: the relative
+    d_n skips the idempotents, whose terms land on tuples outside the
+    relative complex only."""
+
+    def __init__(self, module, degree, skip=()):
         F = module.field
         d_r, d_m = module.algebra.dim, module.dim
         self.d_r, self.d_m, self.m2 = d_r, d_m, d_m * d_m
@@ -189,6 +199,8 @@ class _Stencil:
         self.tail = [[] for _ in range(d_m)]
         negate = degree % 2 == 0
         for a, act in enumerate(module.action):
+            if a in skip:
+                continue
             for j, row in enumerate(act.rows):
                 for k, v in row:
                     v = integral(v)
@@ -196,7 +208,11 @@ class _Stencil:
                     self.tail[j].append((a * self.m2 + k, F.reduce(-v) if negate else v))
         # e_a e_b has a k component: (flat index of (a, b), coef, -coef) per k
         self.products = [
-            [(a * d_r + b, coef, F.reduce(-coef)) for a, b, coef in support]
+            [
+                (a * d_r + b, coef, F.reduce(-coef))
+                for a, b, coef in support
+                if a not in skip and b not in skip
+            ]
             for support in module.algebra.product_support
         ]
 
@@ -279,6 +295,21 @@ def is_cocycle(f: Cochain) -> bool:
     return differential(f).is_zero()
 
 
+def _full_shape(module, degree):
+    """(rows, columns) of the full d_n. Raises ResourceError when it would
+    have more than MAX_DIFFERENTIAL_CELLS cells."""
+    d_r = module.algebra.dim
+    m2 = module.dim * module.dim
+    nrows = d_r ** (degree + 1) * m2
+    ncols = d_r**degree * m2
+    if nrows * ncols > MAX_DIFFERENTIAL_CELLS:
+        raise ResourceError(
+            f"the degree-{degree} differential would be {nrows}x{ncols}, "
+            f"over the limit of {MAX_DIFFERENTIAL_CELLS} cells"
+        )
+    return nrows, ncols
+
+
 def differential_matrix(module, degree) -> Matrix:
     """The degree-n differential as a sparse matrix in the flattening
     order, mapping degree-n coordinates to degree-(n+1) coordinates.
@@ -294,18 +325,12 @@ def differential_matrix(module, degree) -> Matrix:
     its factorisation. Callers must not mutate it."""
     if degree < 0:
         raise InputError("degree must be >= 0")
-    d_r = module.algebra.dim
-    d_m = module.dim
-    nrows = d_r ** (degree + 1) * d_m * d_m
-    ncols = d_r**degree * d_m * d_m
-    if nrows * ncols > MAX_DIFFERENTIAL_CELLS:
-        raise ResourceError(
-            f"the degree-{degree} differential would be {nrows}x{ncols}, "
-            f"over the limit of {MAX_DIFFERENTIAL_CELLS} cells"
-        )
+    nrows, ncols = _full_shape(module, degree)
     cached = module._differentials.get(degree)
     if cached is not None:
         return cached
+    d_r = module.algebra.dim
+    d_m = module.dim
     st = _Stencil(module, degree)
     rows = [[] for _ in range(nrows)]
     col = 0
@@ -363,6 +388,110 @@ def cokernel_certificate(f: Cochain):
     return None
 
 
+class _RelativeComplex:
+    """The cochains relative to S = span(e_1, ..., e_r), r >= 2, where the
+    unit splits into orthogonal idempotents e_i = b_i / lambda_i among the
+    basis elements b_i, every other basis element x lies in one e_i A e_j,
+    and each e_i acts by a coordinate projection. They are the S-bimodule
+    maps on the n-fold tensor power of A/S over S, a subcomplex with the same
+    cohomology because S is separable (Hochschild, "Relative homological
+    algebra", Trans. AMS 82, 1956; Gerstenhaber and Schack, J. Pure Appl.
+    Algebra 43, 1986). In this basis it is a coordinate subspace, so the
+    relative d_n is d_n on the relative rows and columns.
+
+    ends[x]: (i, j) with e_i x e_j = x, for each other basis index x;
+    blocks[i]: the module basis indices that e_i fixes;
+    ranks[n]: (dim C_rel^n, rank of the relative d_n), once computed."""
+
+    def __init__(self, ends, blocks):
+        self.ends, self.blocks, self.ranks = ends, blocks, {}
+
+    def coordinates(self, degree):
+        """(tuple, operator entries (r, c)) of the relative cochains: in
+        degree 0 the entries with r and c in one block; above it every
+        composable tuple of other basis elements (the right end of each is
+        the left end of the next), with r in the block of its left end and
+        c in the block of its right end."""
+        if degree == 0:
+            return [((), [(r, c) for b in self.blocks.values() for r in b for c in b])]
+        ends = self.ends
+        keys = [(x,) for x in ends]
+        for _ in range(degree - 1):
+            keys = [k + (x,) for k in keys for x in ends if ends[k[-1]][1] == ends[x][0]]
+        blocks = self.blocks
+        return [(k, list(product(blocks[ends[k[0]][0]], blocks[ends[k[-1]][1]]))) for k in keys]
+
+    def rank(self, module, degree):
+        """(dim C_rel^n, rank of the relative d_n), computed once. Its
+        columns are the stencil's columns of the relative coordinates, with
+        the idempotents' terms skipped; every term left lands on a relative
+        row."""
+        got = self.ranks.get(degree)
+        if got is None:
+            d_r = module.algebra.dim
+            st = _Stencil(module, degree, skip=self.blocks)
+            rows = {}
+            col = 0
+            for key, entries in self.coordinates(degree):
+                t = _tuple_index(key, d_r)
+                middle = st.middle(t, key)
+                for r, c in entries:
+                    for row, v in st.column(t, middle, r, c).items():
+                        rows.setdefault(row, []).append((col, v))
+                    col += 1
+            rank = Matrix.sparse(module.field, list(rows.values()), col).rank()
+            got = self.ranks[degree] = (col, rank)
+        return got
+
+
+def _split_unit(module):
+    """The module's _RelativeComplex, or None when the unit is not a sum of
+    r >= 2 basis elements b_i with b_i b_i = lambda_i b_i, unit coefficient
+    1 / lambda_i and b_i b_j = 0 (i != j), where each other basis element
+    x has exactly one i with b_i x = lambda_i x and one j with
+    x b_j = lambda_j x, every other such product being 0, and each b_i
+    acts by lambda_i times a 0/1 diagonal matrix."""
+    alg = module.algebra
+    P, unit, reduce = alg.products, alg.unit, alg.field.reduce
+    idem = [i for i, u in enumerate(unit) if u]
+    if len(idem) < 2:
+        return None
+    scale = {}
+    for i in idem:
+        square = P[i][i]
+        if len(square) != 1 or square[0][0] != i or reduce(square[0][1] * unit[i]) != 1:
+            return None
+        if any(P[i][j] for j in idem if j != i):
+            return None
+        scale[i] = square[0][1]
+    ends = {}
+    for x in range(alg.dim):
+        if x in scale:
+            continue
+        left = [i for i in idem if P[i][x]]
+        right = [j for j in idem if P[x][j]]
+        if len(left) != 1 or len(right) != 1:
+            return None
+        (i,), (j,) = left, right
+        if P[i][x] != ((x, scale[i]),) or P[x][j] != ((x, scale[j]),):
+            return None
+        ends[x] = (i, j)
+    blocks = {}
+    for i in idem:
+        rows = module.action[i].rows
+        if any(row and row != [(m, scale[i])] for m, row in enumerate(rows)):
+            return None
+        blocks[i] = [m for m, row in enumerate(rows) if row]
+    return _RelativeComplex(ends, blocks)
+
+
+def _relative_complex(module):
+    """_split_unit of the module, looked for once per module."""
+    if module._relative is None:
+        module._relative = _split_unit(module) or False
+    return module._relative or None
+
+
 CohomologyReport = namedtuple(
     "CohomologyReport", "degree dim_cocycles dim_coboundaries dim_cohomology representatives"
 )
@@ -383,10 +512,32 @@ def cohomology(module, degree) -> CohomologyReport:
     vectors. A kernel vector is thus skipped exactly when its column is the
     last nonzero F-coordinate of a coboundary: a pivot of the coboundaries
     restricted to F, numbered in reverse, eliminated once. d_{n-1} is read,
-    never factorised, and only the emitted kernel vectors are built."""
+    never factorised, and only the emitted kernel vectors are built.
+
+    Where the unit splits into r >= 2 basis idempotents (_RelativeComplex),
+    every H^j is read off the small relative complex first, as
+    dim C_rel^j - rank_rel d_j - rank_rel d_{j-1}. If H^n = 0 (n >= 1) the
+    report needs only rank d_{n-1} of the full complex, which follows from
+    rank d_j = dim C^j - H^j - rank d_{j-1}, so no full d_n is built. If
+    H^n > 0, or in degree 0, the full complex gives the representatives.
+    The full d_n must fit MAX_DIFFERENTIAL_CELLS either way."""
     if degree < 0:
         raise InputError("degree must be >= 0")
     require_valid(module)
+    _full_shape(module, degree)
+    rel = _relative_complex(module) if degree > 0 else None
+    if rel is not None:
+        h, prev = [], 0
+        for n in range(degree + 1):
+            dim, rank = rel.rank(module, n)
+            h.append(dim - rank - prev)
+            prev = rank
+        if h[degree] == 0:
+            m2 = module.dim * module.dim
+            rank = 0  # of the full d_{n-1}
+            for n in range(degree):
+                rank = module.algebra.dim**n * m2 - h[n] - rank
+            return CohomologyReport(degree, rank, rank, 0, [])
     d = differential_matrix(module, degree)
     pivots = set(d.rref()[1])
     free = [j for j in range(d.ncols) if j not in pivots]

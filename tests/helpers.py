@@ -528,6 +528,42 @@ def upper_triangular_pair():
     return alg, Module(alg, action)
 
 
+def kronecker_pair():
+    """The Kronecker algebra (basis e1, e2, a, b: two arrows from vertex 1
+    to vertex 2, so that e2 a e1 = a and e2 b e1 = b) on Q^2, a acting by
+    E_21 and b by 2 E_21. Its dims H^0, H^1, H^2 are 1, 1, 0."""
+    zero, one = Fraction(0), Fraction(1)
+    structure = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+    for (i, j), k in {(0, 0): 0, (1, 1): 1, (1, 2): 2, (2, 0): 2, (1, 3): 3, (3, 0): 3}.items():
+        structure[i][j][k] = one
+    alg = Algebra(QQ, structure, [one, one, zero, zero])
+    action = [
+        frac_mat([[1, 0], [0, 0]]),
+        frac_mat([[0, 0], [0, 1]]),
+        frac_mat([[0, 0], [1, 0]]),
+        frac_mat([[0, 0], [2, 0]]),
+    ]
+    return alg, Module(alg, action)
+
+
+def rescale(alg: Algebra, mod: Module, alg_scales, mod_scales):
+    """The pair in the bases c_i e_i of the algebra and s_m v_m of the
+    module, for nonzero rationals c = alg_scales and s = mod_scales."""
+    c, s = [Fraction(x) for x in alg_scales], [Fraction(x) for x in mod_scales]
+    n = alg.dim
+    structure = [
+        [[c[i] * c[j] / c[k] * x for k, x in enumerate(alg.structure[i][j])] for j in range(n)]
+        for i in range(n)
+    ]
+    unit = [x / c[k] for k, x in enumerate(alg.unit)]
+    new_alg = Algebra(QQ, structure, unit)
+    action = [
+        Matrix(QQ, [[c[i] * x * s[k] / s[j] for k, x in enumerate(row)] for j, row in enumerate(m.data)])
+        for i, m in enumerate(mod.action)
+    ]
+    return new_alg, Module(new_alg, action)
+
+
 def matrix_units_pair():
     from moddef.fixtures import fixture_b
 

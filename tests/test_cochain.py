@@ -13,6 +13,7 @@ from helpers import (
     frac_mat,
     jordan_module,
     jordan_sum,
+    kronecker_pair,
     matvec,
     over_prime,
     projector_module,
@@ -25,6 +26,8 @@ from helpers import (
     reference_differential_matrix,
     reference_h0_dim,
     reference_solve,
+    rescale,
+    upper_triangular_pair,
 )
 from moddef import _backend, cochain
 from moddef.algebra import Algebra, Module, validate_algebra, validate_module
@@ -840,3 +843,118 @@ def test_solve_on_differentials_matches_fresh_elimination(seed, p, degree):
 
     for b in (matvec(d, vector(d.ncols, 0.3)), vector(d.nrows, 0.1)):
         assert solve(d, b) == reference_solve(d, b)
+
+
+# --- the complex relative to the unit's idempotents ----------------------------
+
+
+def _variants(gen, name, field):
+    """(variant, module, fresh module) of the benchmark pair in each sign
+    variant of its bases, parsed twice: once for cohomology, once for the
+    oracle."""
+    natural = gen.PAIRS[name]()
+    for v in range(gen.SIGN_VARIANTS):
+        moved = gen.sign_basis(natural, v, name).pair(natural)
+        yield v, _bench_module(gen, moved, field), _bench_module(gen, moved, field)
+
+
+@pytest.mark.parametrize("field", ["Q", "F10007"])
+@pytest.mark.parametrize("name", ["UT", "B", "P3"])
+def test_split_unit_pairs_answer_from_the_relative_complex(bench_gen, name, field):
+    """In every sign variant some idempotent may arrive as -e_i, and the
+    unit splits all the same. Every report up to degree 3 equals the
+    stacked oracle's, H^n = 0 for n >= 1, and no full d_n above degree 0
+    is built."""
+    for v, mod, fresh in _variants(bench_gen, name, field):
+        assert cochain._relative_complex(mod) is not None, v
+        reports = [cohomology(mod, n) for n in range(4)]
+        assert set(mod._differentials) == {0}, v
+        assert reports == [reference_cohomology(fresh, n) for n in range(4)], v
+        assert [r.dim_cohomology for r in reports[1:]] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p", [None, 10007], ids=["Q", "F10007"])
+def test_kronecker_module_mixes_the_relative_and_full_paths(p):
+    """The Kronecker module has H^0..H^2 = 1, 1, 0: degrees 0 and 1 build
+    the full d_n for their representatives, degree 2 none."""
+    pairs = [kronecker_pair() for _ in range(2)]
+    if p is not None:
+        pairs = [over_prime(alg, mod, p) for alg, mod in pairs]
+    (_, mod), (_, fresh) = pairs
+    assert cochain._relative_complex(mod) is not None
+    reports = [cohomology(mod, n) for n in range(3)]
+    assert [r.dim_cohomology for r in reports] == [1, 1, 0]
+    assert set(mod._differentials) == {0, 1}
+    assert reports == [reference_cohomology(fresh, n) for n in range(3)]
+
+
+SPLIT_UNIT_PAIRS = (
+    kronecker_pair,
+    upper_triangular_pair,
+    fixture_b,
+    lambda: projector_module(2, (2, 1)),
+    lambda: projector_module(3, (1, 0, 2)),
+)
+_SCALES = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, len(SPLIT_UNIT_PAIRS) - 1),
+    st.lists(_SCALES, min_size=4, max_size=4),
+    st.lists(_SCALES, min_size=3, max_size=3),
+    st.sampled_from((None, 13, 10007)),
+)
+def test_rescaled_split_unit_pairs_match_the_oracle(index, alg_scales, mod_scales, p):
+    """Each basis vector of the algebra and of the module rescaled by a
+    nonzero scalar: the unit still splits, each relative column of d_n is
+    the full column of its coordinate (it reaches no row outside the
+    relative complex), and every report equals the stacked oracle's."""
+    alg, mod = SPLIT_UNIT_PAIRS[index]()
+    alg, mod = rescale(alg, mod, alg_scales[: alg.dim], mod_scales[: mod.dim])
+    if p is not None:
+        alg, mod = over_prime(alg, mod, p)
+    rel = cochain._relative_complex(mod)
+    assert rel is not None
+    fresh = Module(alg, mod.action)
+    d_r, d_m = alg.dim, mod.dim
+    for degree in range(3):
+        rows = set()
+        for key, entries in rel.coordinates(degree + 1):
+            base = cochain._tuple_index(key, d_r) * d_m * d_m
+            rows.update(base + r * d_m + c for r, c in entries)
+        full = differential_matrix(fresh, degree).transpose().rows
+        st_rel = cochain._Stencil(mod, degree, skip=rel.blocks)
+        for key, entries in rel.coordinates(degree):
+            t = cochain._tuple_index(key, d_r)
+            middle = st_rel.middle(t, key)
+            for r, c in entries:
+                column = dict(full[t * d_m * d_m + r * d_m + c])
+                assert set(column) <= rows
+                assert st_rel.column(t, middle, r, c) == column
+        assert cohomology(mod, degree) == reference_cohomology(fresh, degree)
+
+
+@pytest.mark.parametrize("field", ["Q", "F10007"])
+def test_pairs_whose_unit_does_not_split_take_the_full_path(bench_gen, field):
+    """Dense-basis shears of UT and B hide their idempotents; a shear of
+    the module basis alone keeps the algebra's, but e_11 no longer acts
+    by a coordinate projection; on J43 the unit is one basis element
+    (r = 1). No relative complex, so every degree builds its full d_n,
+    with the oracle's report."""
+    gen = bench_gen
+    cases = []
+    for name in ("UT", "B"):
+        natural = gen.PAIRS[name]()
+        cases.append((gen.dense_basis(natural, name).pair(natural), 3))
+        q, qinv = gen.identity(2), gen.identity(2)
+        q[0][1], qinv[0][1] = Q1, -Q1
+        n = len(natural[1])
+        cases.append((gen.Basis(gen.identity(n), gen.identity(n), q, qinv).pair(natural), 3))
+    cases.append((gen.PAIRS["J43"](), 2))
+    for pair, top in cases:
+        mod, fresh = (_bench_module(bench_gen, pair, field) for _ in range(2))
+        assert cochain._relative_complex(mod) is None
+        reports = [cohomology(mod, n) for n in range(top + 1)]
+        assert set(mod._differentials) == set(range(top + 1))
+        assert reports == [reference_cohomology(fresh, n) for n in range(top + 1)]

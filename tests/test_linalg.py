@@ -499,15 +499,19 @@ def test_integral_matrix_eliminates_alike_as_ints_fractions_or_mixed(case):
     """An all-int matrix is read as it stands; one holding any Fraction,
     even Fraction(k), goes over the lcm of each row's denominators. Both
     readings give equal reduced rows, pivots and recorded operations, and
-    the reduced rows hold no Fraction with denominator 1: a row over 1
-    leaves on ints, and an integral entry of a row over a larger
-    denominator leaves as an int too."""
+    neither the reduced rows nor the recorded inverses and factors hold a
+    Fraction with denominator 1: a row over 1 leaves on ints, and an
+    integral entry of a row over a larger denominator leaves as an int
+    too, as does an integral inverse or factor."""
     ints, fractions, mixed, ncols = case
     results = []
     for rows in (ints, fractions, mixed):
         ops = []
         reduced, pivots = kernel.rref_rational(rows, ncols, ops)
         assert all(type(v) is int or v.denominator > 1 for row in reduced for _, v in row)
+        recorded = [inv for _, inv, _ in ops if inv is not None]
+        recorded += [f for _, _, factors in ops for _, f in factors]
+        assert all(type(v) is int or v.denominator > 1 for v in recorded)
         results.append((reduced, pivots, ops))
     assert results[0] == results[1] == results[2]
     reduced, pivots, _ = results[0]
