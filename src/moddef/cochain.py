@@ -261,11 +261,12 @@ class _Stencil:
 
 def differential(f: Cochain) -> Cochain:
     """Degree n -> n+1: the stencil's column of every nonzero coordinate
-    of f, scaled and summed into sparse output blocks of row accumulators;
-    over F_p each block is reduced once, when it becomes a matrix."""
+    of f, scaled and summed into sparse output blocks of row accumulators,
+    each cell starting as its first product (so integral input sums in
+    ints over Q); over F_p each block is reduced once, when it becomes a
+    matrix."""
     mod = f.module
     F = mod.field
-    zero = F.zero
     d_r, d_m = mod.algebra.dim, mod.dim
     m2 = d_m * d_m
     n = f.degree + 1
@@ -282,7 +283,8 @@ def differential(f: Cochain) -> Cochain:
                         blocks[tb] = [{} for _ in range(d_m)]
                     i, j = divmod(rem, d_m)
                     acc = blocks[tb][i]
-                    acc[j] = acc.get(j, zero) + x * v
+                    w = acc.get(j)
+                    acc[j] = x * v if w is None else w + x * v
     entries = {
         tuple(t // d_r ** (n - 1 - j) % d_r for j in range(n)):
             Matrix.sparse(F, reduce_rows(F, block), d_m)

@@ -23,8 +23,11 @@ integral and a Fraction otherwise; the structure constants
 (``Algebra.products``) and the differentials hold integral values as ints
 too, so that validation and elimination run on integers (see
 ``_kernel_py``), and a library caller may pass ints or Fractions. The zero
-and one of Q stay Fractions, so a sum that starts from zero, as
-``linalg.series_term``'s do, is a Fraction.
+and one of Q stay Fractions. The operator products
+(``linalg.series_term``, ``Matrix.__matmul__``, ``cochain.differential``)
+start each sum from its first term, not from zero, so a sum of int
+products stays an int; a matrix sum, negation or scaling
+(``Matrix._combination``) still starts from the Fraction zero.
 """
 
 import re

@@ -200,18 +200,21 @@ def series_term(left, right, n, minus=()):
     """Term n of the product of two truncated operator series given as
     term lists (left[i] @ right[n - i] summed over the indices both lists
     hold), less c * m for each (c, m) in minus. Only nonzeros are
-    multiplied: each row sums into a {column: value} accumulator started
-    from the field's zero, reduced once, at the end (see reduce_rows)."""
+    multiplied: each row sums into a {column: value} accumulator whose
+    cell starts as its first product, so over Q a sum of int products
+    stays an int and a sum of Fractions never meets an int zero; the minus
+    terms join from the int 0. Rows are reduced once, at the end (see
+    reduce_rows)."""
     F = left[0].field
-    zero = F.zero
     out = [{} for _ in range(left[0].nrows)]
     for i in range(max(0, n - len(right) + 1), min(n, len(left) - 1) + 1):
         b = right[n - i].rows
         for acc, arow in zip(out, left[i].rows):
             for k, x in arow:
                 for j, y in b[k]:
-                    acc[j] = acc.get(j, zero) + x * y
-    _add_scaled(out, zero, [(-c, m) for c, m in minus])
+                    v = acc.get(j)
+                    acc[j] = x * y if v is None else v + x * y
+    _add_scaled(out, 0, [(-c, m) for c, m in minus])
     return Matrix.sparse(F, reduce_rows(F, out), right[0].ncols)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     catalog_pairs,
     frac_mat,
+    jordan_module,
     over_prime,
     random_cochain,
     random_pair,
@@ -22,9 +23,17 @@ from moddef.algebra import (
     validate_module,
 )
 from moddef.cochain import Cochain, differential, differential_matrix
+from moddef.documents import parse_problem
 from moddef.errors import InputError
 from moddef.fields import QQ, PrimeField, integral
-from moddef.fixtures import dual_numbers, fixture_a, fixture_b, fixture_c, matrix_algebra_2
+from moddef.fixtures import (
+    dual_numbers,
+    fixture_a,
+    fixture_b,
+    fixture_c,
+    fixture_documents,
+    matrix_algebra_2,
+)
 from moddef.linalg import Matrix
 
 Q0, Q1 = Fraction(0), Fraction(1)
@@ -221,3 +230,24 @@ def test_order_one_defect_is_the_differential(seed, p):
     series = [[a, f.value((k,))] for k, a in enumerate(mod.action)]
     defects = Cochain(mod, 2, dict(multiplicativity_defects(mod, series, 1)))
     assert defects == differential(f)
+
+
+def test_multiplicativity_defects_of_an_integral_pair_hold_only_ints():
+    """Over Q the defects of an int-valued pair and int-valued series
+    terms sum each cell from its first product, not from the field's
+    Fraction zero, so every defect value is an int: fixture C as parsed,
+    and Q[x]/(x^3) on Q^3 with its scalars held as ints."""
+    pairs = [parse_problem(fixture_documents()["C"]).module, _pair_as(integral, *jordan_module(3, 3))[1]]
+    rng = random.Random(11)
+    for mod in pairs:
+        d_m = mod.dim
+
+        def int_matrix():
+            return Matrix(QQ, [[rng.choice((0, 1, -1, 2)) for _ in range(d_m)] for _ in range(d_m)])
+
+        series = [[a, int_matrix(), int_matrix()] for a in mod.action]
+        values = []
+        for n in range(3):
+            for _, defect in multiplicativity_defects(mod, series, n):
+                values += [v for row in defect.rows for _, v in row]
+        assert values and all(type(v) is int for v in values)

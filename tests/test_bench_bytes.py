@@ -1,9 +1,9 @@
 """The result bytes the benchmark has recorded, checked by tier-1.
 
-Every operation of the cohomology-ladder and fixtures-cli workloads, in
-every sign variant a seed can pick, runs through ``cli.run`` and
-``documents.canonical_json`` as one in-process benchmark call does, and
-its (exit code, sha256) must be the one in ``perfbench/expected.json``.
+Every operation of all four benchmark workloads, in every sign variant
+a seed can pick, runs through ``cli.run`` and ``documents.canonical_json``
+as one in-process benchmark call does, and its (exit code, sha256) must
+be the one in ``perfbench/expected.json``.
 So a change that moves one result byte fails here, whichever variants a
 benchmark seed happens to draw. The benchmark's files are only read."""
 
@@ -34,7 +34,9 @@ def workloads():
     return workloads
 
 
-@pytest.mark.parametrize("workload", ["cohomology-ladder", "fixtures-cli"])
+@pytest.mark.parametrize(
+    "workload", ["cohomology-ladder", "fixtures-cli", "dense-basis", "deform-series"]
+)
 def test_every_variant_gives_the_recorded_bytes(workloads, workload):
     expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
     ops = workloads.variants(workload)

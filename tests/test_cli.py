@@ -111,6 +111,34 @@ def test_float_scalars_rejected():
     assert "module.action[0][0][0]" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "field, place, text, message",
+    [
+        ("Q", ("algebra", "unit"), ["1", "0", "0", "x"], "algebra.unit[3]: bad scalar syntax: 'x'"),
+        ("Q", ("module", "action", 3, 1), ["1", 1.0],
+         "module.action[3][1][1]: scalar must be a string, got float"),
+        ("Q", ("module", "action", 2, 0), [["1"], "0"],
+         "module.action[2][0][0]: scalar must be a string, got list"),
+        ("Q", ("deformation", "terms", 0, 0, "matrix", 1), ["0", "1/0"],
+         "deformation.terms[0][0].matrix[1][1]: zero denominator in scalar: '1/0'"),
+        ("F13", ("automorphism", "terms", 0, 1), ["1", "1/13"],
+         "automorphism.terms[0][1][1]: scalar '1/13' has denominator divisible by 13"),
+    ],
+)
+def test_a_bad_scalar_after_repeated_ones_names_its_path(field, place, text, message):
+    """A bad entry after many "1"s is refused with the message and JSON
+    path of that entry, in the algebra, the module and the payloads."""
+    doc = copy.deepcopy(FIXTURE_DOCS["B"])
+    doc["field"] = field
+    target = doc
+    for key in place[:-1]:
+        target = target[key]
+    target[place[-1]] = text
+    with pytest.raises(InputError) as err:
+        docs.parse_problem(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_non_prime_field_rejected():
     doc = copy.deepcopy(FIXTURE_DOCS["A"])
     doc["field"] = "F9"

@@ -2,6 +2,7 @@ import importlib.util
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -52,7 +53,7 @@ from moddef.deformation import (
 from moddef.documents import parse_problem
 from moddef.errors import InputError, ResourceError
 from moddef.fields import PrimeField, QQ
-from moddef.fixtures import fixture_a, fixture_b, fixture_c
+from moddef.fixtures import fixture_a, fixture_b, fixture_c, fixture_documents
 from moddef.linalg import Matrix, solve
 
 Q0, Q1 = Fraction(0), Fraction(1)
@@ -958,3 +959,24 @@ def test_pairs_whose_unit_does_not_split_take_the_full_path(bench_gen, field):
         reports = [cohomology(mod, n) for n in range(top + 1)]
         assert set(mod._differentials) == set(range(top + 1))
         assert reports == [reference_cohomology(fresh, n) for n in range(top + 1)]
+
+
+def test_differential_of_an_int_cochain_holds_only_ints(bench_gen):
+    """Over Q a parsed module acts by ints, and the differential of a
+    cochain of int matrices starts each cell as its first product, not as
+    the field's Fraction zero: its values are all ints."""
+    modules = [
+        _bench_module(bench_gen, bench_gen.PAIRS["J33"](), "Q"),
+        parse_problem(fixture_documents()["C"]).module,
+    ]
+    rng = random.Random(3)
+    for mod in modules:
+        d_r, d_m = mod.algebra.dim, mod.dim
+        for degree in range(3):
+            entries = {
+                key: Matrix(QQ, [[rng.choice((0, 1, -1, 2)) for _ in range(d_m)] for _ in range(d_m)])
+                for key in product(range(d_r), repeat=degree)
+            }
+            df = differential(Cochain(mod, degree, entries))
+            values = [v for m in df.entries.values() for row in m.rows for _, v in row]
+            assert values and all(type(v) is int for v in values)

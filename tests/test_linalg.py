@@ -576,3 +576,85 @@ def test_q_and_large_prime_agree_through_one_elimination(case):
         assert (x_q is None) == (x_f is None)
         if x_q is not None:
             assert [red(v) for v in x_q] == x_f
+
+
+def _values(m):
+    return [v for row in m.rows for _, v in row]
+
+
+def test_products_of_int_matrices_hold_only_ints_over_q():
+    """Over Q each accumulated cell starts as its first product, not as
+    the field's Fraction zero, so products and series terms of int-only
+    matrices, less int multiples, hold only ints."""
+    a = Matrix(QQ, [[2, 1, -3], [0, -1, 0], [1, 0, 2]])
+    b = Matrix(QQ, [[1, -1], [0, 3], [-2, 0]])
+    c = Matrix(QQ, [[0, 1, 1], [1, 0, 0], [0, 0, -1]])
+    left, right = [a, c, a @ a], [b, Matrix.zeros(QQ, 3, 2), c @ b]
+    minus = [(2, a @ b), (-1, Matrix(QQ, [[0, 5], [1, 0], [0, 0]]))]
+    for m in (left[0] @ right[0], series_term(left, right, 2), series_term(left, right, 2, minus)):
+        values = _values(m)
+        assert values and all(type(v) is int for v in values)
+
+
+@st.composite
+def mixed_series(draw):
+    """(left, right, n, minus) as dense rows: two lists of up to 3 terms of
+    up to 3x3 matrices (some all zero) with entries 0, ints and Fractions
+    over denominators 1 to 3, and up to 2 subtracted terms with int or
+    Fraction coefficients."""
+    scalars = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    )
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def matrix(nrows, ncols):
+        if draw(st.integers(0, 4)) == 0:
+            return [[0] * ncols for _ in range(nrows)]
+        return [[draw(scalars) for _ in range(ncols)] for _ in range(nrows)]
+
+    left = [matrix(r, k) for _ in range(draw(st.integers(1, 3)))]
+    right = [matrix(k, c) for _ in range(draw(st.integers(1, 3)))]
+    n = draw(st.integers(0, len(left) + len(right) - 2))
+    minus = [(draw(scalars), matrix(r, c)) for _ in range(draw(st.integers(0, 2)))]
+    return left, right, n, minus
+
+
+@settings(max_examples=300)
+@given(mixed_series())
+def test_series_term_of_mixed_ints_and_fractions_is_the_fraction_sum(case):
+    """Over Q, cells summed from a mix of int and Fraction products equal
+    the plain Fraction sum; over F_13 the same series, read mod 13, gives
+    that sum mod 13 (every denominator is prime to 13)."""
+    left, right, n, minus = case
+    span = range(max(0, n - len(right) + 1), min(n, len(left) - 1) + 1)
+    want = [
+        [
+            sum(
+                (Fraction(x) * Fraction(y) for i in span for x, y in zip(left[i][a], [row[b] for row in right[n - i]])),
+                Fraction(0),
+            )
+            - sum((Fraction(s) * Fraction(m[a][b]) for s, m in minus), Fraction(0))
+            for b in range(len(right[0][0]))
+        ]
+        for a in range(len(left[0]))
+    ]
+
+    def over(F, convert):
+        def mat(rows):
+            return Matrix(F, [[convert(x) for x in row] for row in rows], len(rows[0]))
+
+        return series_term(
+            [mat(m) for m in left], [mat(m) for m in right], n, [(convert(s), mat(m)) for s, m in minus]
+        )
+
+    got = over(QQ, lambda x: x)
+    assert got.data == want
+    F13 = PrimeField(13)
+
+    def mod13(x):
+        x = Fraction(x)
+        return x.numerator * pow(x.denominator, -1, 13) % 13
+
+    assert over(F13, mod13) == Matrix(F13, [[mod13(v) for v in row] for row in want])
