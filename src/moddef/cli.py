@@ -9,8 +9,9 @@ stderr, no result document).
 
 The argument parser is built once per process and shared by every call
 of `main`; parsing reads it and never changes it. The cochain and
-deformation modules are imported by the first command that computes, and
-the fixtures by `--fixtures`, so `validate` runs without any of them.
+deformation modules are imported where a command computes, and the
+fixtures under `--fixtures`, each by a plain local import (after the first
+it is a lookup in `sys.modules`), so `validate` runs without any of them.
 """
 
 import argparse
@@ -54,15 +55,6 @@ def build_parser():
 _parser = functools.cache(build_parser)
 
 
-@functools.cache
-def _engine():
-    """The cochain and deformation modules, imported once, by the first
-    command that needs them."""
-    from . import cochain, deformation
-
-    return cochain, deformation
-
-
 def _require(problem, name):
     value = getattr(problem, name)
     if value is None:
@@ -72,7 +64,8 @@ def _require(problem, name):
 
 def _require_deformation(problem, name="deformation"):
     d = _require(problem, name)
-    _, deformation = _engine()
+    from . import deformation
+
     issue = deformation.check_deformation(d)
     if issue is not None:
         raise InputError(f"invalid {name}: {issue.message}")
@@ -80,7 +73,8 @@ def _require_deformation(problem, name="deformation"):
 
 
 def _certificate(f):
-    cochain, _ = _engine()
+    from . import cochain
+
     cert = cochain.cokernel_certificate(f)
     if cert is None:
         return None
@@ -113,7 +107,7 @@ def run(command, problem: doc.ProblemDocument):
 
     module = problem.module
     require_valid(module)
-    cochain, deformation = _engine()
+    from . import cochain, deformation
 
     if command == "cohomology":
         reports = [cochain.cohomology(module, n) for n in range(problem.degree + 1)]

@@ -16,6 +16,13 @@ expand through the structure constants. Cocycles in degree 1 are exactly
 the directions in which the module structure can move to first order;
 degree-2 classes carry the obstructions.
 
+One walk applies this formula, _Stencil.columns, which yields the image
+of each unit coordinate it is given. Its callers only choose the
+coordinates: differential_matrix every one, the relative d_n those of the
+relative complex, and differential(f) the nonzero ones of f, whose
+scaled images it sums and hands to Cochain.unflatten, the one decode of a
+coordinate vector.
+
 Flattening convention, fixed for reproducibility: coordinates are indexed
 by basis tuples in lexicographic order (tuple-major), then operator
 entries in row-major order. Cohomology representatives and witnesses are
@@ -28,13 +35,13 @@ coordinates. Cohomology reads every dimension off it first, and builds
 the full d_n only where H^n > 0, for the canonical representatives.
 """
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from itertools import product
 
 from .algebra import Module, require_valid
 from .errors import InputError, ResourceError
 from .fields import integral
-from .linalg import Matrix, reduce_rows, solve
+from .linalg import Matrix, solve
 
 # Largest differential matrix (rows x cols) that differential_matrix will
 # build: 2**24 cells. The matrix is sparse, but the cells bound the work of
@@ -141,18 +148,32 @@ class Cochain:
 
     @classmethod
     def unflatten(cls, module, degree, vec):
-        d_r = module.algebra.dim
-        d_m = module.dim
-        expected = d_r**degree * d_m * d_m
-        if len(vec) != expected:
-            raise InputError(f"vector length {len(vec)} != {expected}")
-        entries = {}
-        for t, key in enumerate(product(range(d_r), repeat=degree)):
-            base = t * d_m * d_m
-            block = [
-                [vec[base + r * d_m + c] for c in range(d_m)] for r in range(d_m)
-            ]
-            entries[key] = Matrix(module.field, block, d_m)
+        """The cochain with coordinate vector vec in the documented order:
+        a list of every coordinate, or a {index: value} dict of some of
+        them, the others zero. Each value is reduced over F_p, and only the
+        tuples with a nonzero value are built, straight as sparse rows."""
+        F, d_r, d_m = module.field, module.algebra.dim, module.dim
+        m2 = d_m * d_m
+        size = d_r**degree * m2
+        if isinstance(vec, dict):
+            items = sorted(vec.items())
+            if items and not 0 <= items[0][0] <= items[-1][0] < size:
+                raise InputError(f"a coordinate index is outside the {size} of degree {degree}")
+        elif len(vec) != size:
+            raise InputError(f"vector length {len(vec)} != {size}")
+        else:
+            items = enumerate(vec)
+        blocks = defaultdict(lambda: [[] for _ in range(d_m)])
+        for i, v in items:
+            if v := F.reduce(v):
+                t, rem = divmod(i, m2)
+                r, c = divmod(rem, d_m)
+                blocks[t][r].append((c, v))
+        entries = {
+            tuple(t // d_r ** (degree - 1 - j) % d_r for j in range(degree)):
+                Matrix.sparse(F, rows, d_m)
+            for t, rows in blocks.items()
+        }
         return cls(module, degree, entries)
 
 
@@ -167,16 +188,17 @@ class _Stencil:
     """The terms of the coboundary formula for degree-n cochains over one
     module, built from the nonzeros of the action matrices and of the
     structure constants by each differential call and each assembly of a
-    d_n, since it costs microseconds. The image of the unit
-    coordinate (t, r, c) (tuple index t, operator entry (r, c)) is read off
-    three lists, each entry a row offset and a field value:
+    d_n, since it costs microseconds. It is the one code that applies the
+    formula: columns() walks the unit coordinates a caller chooses, and
+    reads the image of (t, r, c) (tuple index t, operator entry (r, c))
+    off three lists, each entry a row offset and a field value:
 
     - head[r], the a . f terms: column r of each A_a, at row
       t d_m^2 + c + offset;
     - tail[c], the (-1)^(n+1) f . a terms: row c of each A_a, signed by the
       degree's parity, at row t d_r d_m^2 + r d_m + offset;
-    - middle(t, key), the (-1)^i f(..., a_{i-1} a_i, ...) terms of one
-      tuple, at row offset + r d_m + c.
+    - the middle, the (-1)^i f(..., a_{i-1} a_i, ...) terms of one tuple,
+      built from products once per tuple, at row offset + r d_m + c.
 
     Every entry is nonzero, so only the cells where two terms meet are
     summed, reduced and tested. Over Q an integral action entry is held
@@ -216,81 +238,63 @@ class _Stencil:
             for support in module.algebra.product_support
         ]
 
-    def middle(self, t, key):
-        """The middle terms of tuple key, whose index is t, summed per
-        output tuple (different positions i can reach the same one), zero
-        sums dropped."""
-        d_r, m2, reduce = self.d_r, self.m2, self.reduce
-        out = {}
-        w = d_r**self.degree
-        for i in range(1, self.degree + 1):
-            w //= d_r  # d_r^(n-i), the weight of the digits after position i
-            high, low = divmod(t, w * d_r)
-            high *= d_r * d_r
-            low %= w
-            for ab, coef, neg in self.products[key[i - 1]]:
-                off = ((high + ab) * w + low) * m2
-                v = neg if i % 2 else coef
-                old = out.get(off)
-                out[off] = v if old is None else reduce(old + v)
-        return [(off, v) for off, v in out.items() if v]
-
-    def column(self, t, middle, r, c):
-        """The image of the unit coordinate (t, r, c) as {row: value},
-        nonzero values only; middle is self.middle of tuple t."""
-        reduce = self.reduce
-        base = t * self.m2 + c
-        acc = {base + off: v for off, v in self.head[r]}
-        for terms, base in (
-            (self.tail[c], (t * self.d_r * self.d_m + r) * self.d_m),
-            (middle, r * self.d_m + c),
-        ):
-            for off, v in terms:
-                row = base + off
-                old = acc.get(row)
-                if old is None:
-                    acc[row] = v
-                else:
-                    v = reduce(old + v)
-                    if v:
-                        acc[row] = v
-                    else:
-                        del acc[row]
-        return acc
+    def columns(self, coords):
+        """For each (key, [(r, c), ...]) in coords, the image of each unit
+        coordinate (key, r, c) in turn, as {row: value}, nonzero values
+        only. The middle terms of a tuple are summed once per output tuple
+        (different positions i can reach the same one), zero sums dropped,
+        and shared by its coordinates."""
+        d_r, d_m, m2, reduce = self.d_r, self.d_m, self.m2, self.reduce
+        head, tail = self.head, self.tail
+        for key, entries in coords:
+            t = _tuple_index(key, d_r)
+            middle = {}
+            w = d_r**self.degree
+            for i, x in enumerate(key, 1):
+                w //= d_r  # d_r^(n-i), the weight of the digits after position i
+                high, low = divmod(t, w * d_r)
+                high *= d_r * d_r
+                low %= w
+                for ab, coef, neg in self.products[x]:
+                    off = ((high + ab) * w + low) * m2
+                    middle[off] = middle.get(off, 0) + (neg if i % 2 else coef)
+            middle = [(off, s) for off, v in middle.items() if (s := reduce(v))]
+            for r, c in entries:
+                acc = {t * m2 + c + off: v for off, v in head[r]}
+                for terms, base in (
+                    (tail[c], (t * d_r * d_m + r) * d_m),
+                    (middle, r * d_m + c),
+                ):
+                    for off, v in terms:
+                        row = base + off
+                        old = acc.get(row)
+                        if old is None:
+                            acc[row] = v
+                        else:
+                            v = reduce(old + v)
+                            if v:
+                                acc[row] = v
+                            else:
+                                del acc[row]
+                yield acc
 
 
 def differential(f: Cochain) -> Cochain:
     """Degree n -> n+1: the stencil's column of every nonzero coordinate
-    of f, scaled and summed into sparse output blocks of row accumulators,
-    each cell starting as its first product (so integral input sums in
-    ints over Q); over F_p each block is reduced once, when it becomes a
-    matrix."""
-    mod = f.module
-    F = mod.field
-    d_r, d_m = mod.algebra.dim, mod.dim
-    m2 = d_m * d_m
-    n = f.degree + 1
-    st = _Stencil(mod, f.degree)
-    blocks = {}
-    for key, mat in f.entries.items():
-        t = _tuple_index(key, d_r)
-        middle = st.middle(t, key)
-        for r, row in enumerate(mat.rows):
-            for c, x in row:
-                for idx, v in st.column(t, middle, r, c).items():
-                    tb, rem = divmod(idx, m2)
-                    if tb not in blocks:
-                        blocks[tb] = [{} for _ in range(d_m)]
-                    i, j = divmod(rem, d_m)
-                    acc = blocks[tb][i]
-                    w = acc.get(j)
-                    acc[j] = x * v if w is None else w + x * v
-    entries = {
-        tuple(t // d_r ** (n - 1 - j) % d_r for j in range(n)):
-            Matrix.sparse(F, reduce_rows(F, block), d_m)
-        for t, block in blocks.items()
-    }
-    return Cochain(mod, n, entries)
+    x of f, times x, summed into one flat image whose cells start as their
+    first product (so integral input sums in ints over Q), decoded by
+    Cochain.unflatten (which reduces over F_p)."""
+    mats = f.entries
+    coords = [
+        (key, [(r, c) for r, row in enumerate(m.rows) for c, _ in row]) for key, m in mats.items()
+    ]
+    values = (x for m in mats.values() for row in m.rows for _, x in row)
+    image = {}
+    for x, column in zip(values, _Stencil(f.module, f.degree).columns(coords)):
+        for row, v in column.items():
+            w = image.get(row)
+            image[row] = x * v if w is None else w + x * v
+    return Cochain.unflatten(f.module, f.degree + 1, image)
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -318,9 +322,9 @@ def differential_matrix(module, degree) -> Matrix:
     Refuses, before assembling, a matrix of more than
     MAX_DIFFERENTIAL_CELLS cells.
 
-    Each column is the stencil's column of its unit coordinate, nonzeros
-    only, appended as (column, value) onto plain row lists. Columns are
-    visited in order, so every row lists its columns in increasing order.
+    The stencil walks every unit coordinate in order, and each column's
+    nonzeros are appended as (column, value) onto plain row lists, so
+    every row lists its columns in increasing order.
 
     Assembled once per (module, degree) and kept on the module, so every
     witness, certificate and rank over that module shares one matrix and
@@ -331,18 +335,12 @@ def differential_matrix(module, degree) -> Matrix:
     cached = module._differentials.get(degree)
     if cached is not None:
         return cached
-    d_r = module.algebra.dim
-    d_m = module.dim
-    st = _Stencil(module, degree)
+    entries = list(product(range(module.dim), repeat=2))
+    coords = ((key, entries) for key in product(range(module.algebra.dim), repeat=degree))
     rows = [[] for _ in range(nrows)]
-    col = 0
-    for t, key in enumerate(product(range(d_r), repeat=degree)):
-        middle = st.middle(t, key)
-        for r in range(d_m):
-            for c in range(d_m):
-                for row, v in st.column(t, middle, r, c).items():
-                    rows[row].append((col, v))
-                col += 1
+    for col, column in enumerate(_Stencil(module, degree).columns(coords)):
+        for row, v in column.items():
+            rows[row].append((col, v))
     out = Matrix.sparse(module.field, rows, ncols)
     module._differentials[degree] = out
     return out
@@ -430,19 +428,14 @@ class _RelativeComplex:
         row."""
         got = self.ranks.get(degree)
         if got is None:
-            d_r = module.algebra.dim
-            st = _Stencil(module, degree, skip=self.blocks)
-            rows = {}
-            col = 0
-            for key, entries in self.coordinates(degree):
-                t = _tuple_index(key, d_r)
-                middle = st.middle(t, key)
-                for r, c in entries:
-                    for row, v in st.column(t, middle, r, c).items():
-                        rows.setdefault(row, []).append((col, v))
-                    col += 1
-            rank = Matrix.sparse(module.field, list(rows.values()), col).rank()
-            got = self.ranks[degree] = (col, rank)
+            coords = self.coordinates(degree)
+            rows = defaultdict(list)  # only the rows that are hit
+            for col, column in enumerate(_Stencil(module, degree, skip=self.blocks).columns(coords)):
+                for row, v in column.items():
+                    rows[row].append((col, v))
+            dim = sum(len(entries) for _, entries in coords)
+            rank = Matrix.sparse(module.field, list(rows.values()), dim).rank()
+            got = self.ranks[degree] = (dim, rank)
         return got
 
 

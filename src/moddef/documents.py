@@ -12,9 +12,12 @@ Parse errors name the JSON path of the first violation. Every object
 refuses a key it does not know, and guardrails fail fast before any
 solver runs: the parser is the one place that applies them, including
 to the default top degree of cohomology.
+
+The decoders of the cochain, deformation and automorphism payloads
+import their types locally, so a problem with no payload is parsed
+without loading the cochain and deformation modules.
 """
 
-import functools
 import json
 from collections import namedtuple
 
@@ -37,17 +40,6 @@ MAX_ORDER_GUARDRAIL = 64
 ProblemDocument = namedtuple(
     "ProblemDocument", "module cochain deformation deformation2 automorphism order degree"
 )
-
-
-@functools.cache
-def _payload_types():
-    """Cochain, ApproximateDeformation and FormalAutomorphism, imported by
-    the first payload decoded: a problem with no payload is parsed without
-    loading the cochain and deformation modules."""
-    from .cochain import Cochain
-    from .deformation import ApproximateDeformation, FormalAutomorphism
-
-    return Cochain, ApproximateDeformation, FormalAutomorphism
 
 
 def _expect(cond, path, message):
@@ -175,7 +167,8 @@ def decode_cochain_entries(module, data, degree, path):
 def decode_cochain(module, data, guardrails, path="cochain"):
     degree, entries = _fields(data, path, ("degree", "entries"))
     degree = _int(degree, f"{path}.degree", 0, guardrails.degree)
-    Cochain, _, _ = _payload_types()
+    from .cochain import Cochain
+
     return Cochain(module, degree, decode_cochain_entries(module, entries, degree, f"{path}.entries"))
 
 
@@ -194,7 +187,9 @@ def decode_deformation(module, data, guardrails, path="deformation"):
     order = _int(order, f"{path}.order", 0, guardrails.order)
     _expect(isinstance(terms, list) and len(terms) == order, f"{path}.terms",
             f"expected {order} terms")
-    Cochain, ApproximateDeformation, _ = _payload_types()
+    from .cochain import Cochain
+    from .deformation import ApproximateDeformation
+
     cochains = [
         Cochain(module, 1, decode_cochain_entries(module, t, 1, f"{path}.terms[{i}]"))
         for i, t in enumerate(terms)
@@ -213,7 +208,8 @@ def decode_automorphism(module, data, guardrails, path="automorphism"):
     (terms,) = _fields(data, path, ("terms",))
     _expect(isinstance(terms, list), f"{path}.terms", "expected a list of matrices")
     _int(len(terms), f"{path}.terms", 0, guardrails.order)
-    _, _, FormalAutomorphism = _payload_types()
+    from .deformation import FormalAutomorphism
+
     mats = [
         decode_matrix(module.field, t, module.dim, module.dim, f"{path}.terms[{i}]")
         for i, t in enumerate(terms)

@@ -14,21 +14,14 @@ nonzero values. Sums, products, elimination, rank, kernel bases, solves
 and the transpose all read and build sparse rows. The dense rows of a
 matrix are a view, built afresh on each read of ``data``, for encoding
 and tests.
+
+``Matrix.rref`` and ``solve`` import the elimination kernel locally, as
+``_backend.kernel``, so a call that never eliminates (validation) never
+loads it, and read its entry points off that module on each call, so a
+tracer's patches of them hold.
 """
 
-import functools
-
 from .errors import InputError
-
-
-@functools.cache
-def _kernel():
-    """The elimination kernel, imported once, by the first elimination or
-    solve (validation never eliminates). Callers read its entry points
-    from the module on each call, so a tracer's patches of them hold."""
-    from ._backend import kernel
-
-    return kernel
 
 
 class Matrix:
@@ -156,7 +149,8 @@ class Matrix:
             rows = self.rows
             ops = []
             p = self.field.p
-            kernel = _kernel()
+            from ._backend import kernel
+
             if p is None:
                 reduced, pivots = kernel.rref_rational(rows, self.ncols, ops=ops)
             else:
@@ -249,7 +243,9 @@ def solve(a: Matrix, b: list):
     _, pivots = a.rref()
     F = a.field
     p = F.p
-    y = _kernel().replay(a._ops, list(b) if p is None else [v % p for v in b], p)
+    from ._backend import kernel
+
+    y = kernel.replay(a._ops, list(b) if p is None else [v % p for v in b], p)
     x = [F.zero] * a.ncols
     for (i, _, _), pc in zip(a._ops, pivots):
         x[pc], y[i] = y[i], F.zero

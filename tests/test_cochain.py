@@ -199,6 +199,30 @@ def test_flatten_round_trip():
         assert Cochain.unflatten(mod, degree, f.flatten()) == f
 
 
+def test_unflatten_refuses_a_wrong_length_or_an_index_outside_the_degree():
+    """A list must hold every coordinate of the degree, and a dict only
+    indices among them. Where both forms are valid they decode alike, with
+    each value reduced over F_p."""
+    for p in (None, 13):
+        alg, mod = fixture_c()
+        if p is not None:
+            alg, mod = over_prime(alg, mod, p)
+        d_r, d_m = alg.dim, mod.dim
+        for degree in range(3):
+            size = d_r**degree * d_m * d_m
+            for length in (0, size - 1, size + 1):
+                with pytest.raises(InputError, match="vector length"):
+                    Cochain.unflatten(mod, degree, [0] * length)
+            for index in (-1, size, size + d_m):
+                with pytest.raises(InputError, match="outside"):
+                    Cochain.unflatten(mod, degree, {0: 1, index: 1})
+            dense = [0] * size
+            dense[0], dense[-1] = 3, -2
+            sparse = Cochain.unflatten(mod, degree, {size - 1: -2, 1: 0, 0: 3})
+            assert sparse == Cochain.unflatten(mod, degree, dense)
+            assert sparse.flatten()[-1] == (-2 if p is None else p - 2)
+
+
 def test_assembled_rows_hold_nonzeros_in_column_order():
     """d_n is assembled into sparse rows: (column, value) pairs with
     strictly increasing columns and only nonzero values, over Q and over
@@ -925,14 +949,14 @@ def test_rescaled_split_unit_pairs_match_the_oracle(index, alg_scales, mod_scale
             base = cochain._tuple_index(key, d_r) * d_m * d_m
             rows.update(base + r * d_m + c for r, c in entries)
         full = differential_matrix(fresh, degree).transpose().rows
-        st_rel = cochain._Stencil(mod, degree, skip=rel.blocks)
-        for key, entries in rel.coordinates(degree):
+        coords = rel.coordinates(degree)
+        walk = cochain._Stencil(mod, degree, skip=rel.blocks).columns(coords)
+        for key, entries in coords:
             t = cochain._tuple_index(key, d_r)
-            middle = st_rel.middle(t, key)
             for r, c in entries:
                 column = dict(full[t * d_m * d_m + r * d_m + c])
                 assert set(column) <= rows
-                assert st_rel.column(t, middle, r, c) == column
+                assert next(walk) == column
         assert cohomology(mod, degree) == reference_cohomology(fresh, degree)
 
 
