@@ -150,9 +150,13 @@ class Cochain:
     def unflatten(cls, module, degree, vec):
         """The cochain with coordinate vector vec in the documented order:
         a list of every coordinate, or a {index: value} dict of some of
-        them, the others zero. Each value is reduced over F_p, and only the
-        tuples with a nonzero value are built, straight as sparse rows."""
+        them, the others zero. Each value is read as a canonical scalar
+        (reduced over F_p; over Q an int where it is integral, since a
+        solve against integral data may answer Fraction(k, 1) where the
+        field's zero met an int), and only the tuples with a nonzero value
+        are built, straight as sparse rows."""
         F, d_r, d_m = module.field, module.algebra.dim, module.dim
+        reduce = integral if F.p is None else F.reduce
         m2 = d_m * d_m
         size = d_r**degree * m2
         if isinstance(vec, dict):
@@ -165,7 +169,7 @@ class Cochain:
             items = enumerate(vec)
         blocks = defaultdict(lambda: [[] for _ in range(d_m)])
         for i, v in items:
-            if v := F.reduce(v):
+            if v := reduce(v):
                 t, rem = divmod(i, m2)
                 r, c = divmod(rem, d_m)
                 blocks[t][r].append((c, v))

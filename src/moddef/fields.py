@@ -11,11 +11,12 @@ scalars, and ``str``, which prints a reduced scalar as ``p/q`` with the
 denominator omitted when it is 1, or as a decimal residue over a prime
 field. That text is canonical, so parse/print round-trips exactly. A
 field knows only what Python does not: its zero and one, how to parse a
-scalar, its modulus ``p`` (None over Q), and ``reduce``, which brings a
-result of the operators back to the canonical scalar (the identity over
-Q, ``x % p`` over F_p). Callers reduce once, where a value is stored,
-compared or emitted; a matrix built fresh over Q skips that pass, since
-there it changes nothing.
+scalar, how to read an int or a ``Fraction`` as a scalar (``scalar``,
+which over F_p reads n/d as parse does), its modulus ``p`` (None over Q),
+and ``reduce``, which brings a result of the operators back to the
+canonical scalar (the identity over Q, ``x % p`` over F_p). Callers
+reduce once, where a value is stored, compared or emitted; a matrix
+built fresh over Q skips that pass, since there it changes nothing.
 
 Over Q an integral value may also be a plain int, which compares, hashes
 and prints as the equal Fraction. A parsed scalar is an int when it is
@@ -23,11 +24,14 @@ integral and a Fraction otherwise; the structure constants
 (``Algebra.products``) and the differentials hold integral values as ints
 too, so that validation and elimination run on integers (see
 ``_kernel_py``), and a library caller may pass ints or Fractions. The zero
-and one of Q stay Fractions. The operator products
-(``linalg.series_term``, ``Matrix.__matmul__``, ``cochain.differential``)
-start each sum from its first term, not from zero, so a sum of int
-products stays an int; a matrix sum, negation or scaling
-(``Matrix._combination``) still starts from the Fraction zero.
+and one of Q stay Fractions. Every matrix sum starts each cell from its
+first term, not from zero, so a sum of ints stays an int: the operator
+products (``linalg.series_term``, ``Matrix.__matmul__``,
+``cochain.differential``) and the sums, differences, negations and
+scalings (``Matrix._combination``). Only ``Matrix.identity``,
+``Cochain.flatten``, ``solve`` and ``Matrix.kernel_basis`` still start
+from the Fraction zero and one; ``Cochain.unflatten`` reads a solve's
+Fraction(k, 1) back as the int k.
 """
 
 import re
@@ -99,6 +103,11 @@ class Rationals:
     def reduce(self, a):
         return a
 
+    def scalar(self, c):
+        """The int or Fraction c as this field's scalar: an int when it is
+        integral, else the Fraction."""
+        return integral(c)
+
     def parse(self, text: str):
         num, den = _split(text)
         return num if den == 1 else integral(Fraction(num, den))
@@ -128,6 +137,15 @@ class PrimeField:
 
     def reduce(self, a):
         return a % self.p
+
+    def scalar(self, c):
+        """The int or Fraction c = n/d as this field's scalar, n * d^-1 mod
+        p, as parse reads the text n/d; InputError when p divides d."""
+        p = self.p
+        den = c.denominator % p
+        if den == 0:
+            raise InputError(f"scalar {str(c)!r} has denominator divisible by {p}")
+        return c.numerator * pow(den, -1, p) % p
 
     def parse(self, text: str):
         num, den = _split(text)

@@ -108,13 +108,18 @@ class Matrix:
         return self._combination(((-1, self),))
 
     def scale(self, c):
-        return self._combination(((c, self),))
+        """c * self, c an int or a Fraction read by the field's scalar:
+        over F_p a Fraction n/d is n * d^-1 mod p (InputError when p
+        divides d)."""
+        return self._combination(((self.field.scalar(c), self),))
 
     def _combination(self, terms):
-        """The sum of c * m over (c, m) in terms, all of self's shape."""
+        """The sum of c * m over (c, m) in terms, all of self's shape; each
+        cell starts as its first term (see _add_scaled), so over Q integral
+        input gives an integral matrix of ints."""
         F = self.field
         out = [{} for _ in range(self.nrows)]
-        _add_scaled(out, F.zero, terms)
+        _add_scaled(out, terms)
         return Matrix.sparse(F, reduce_rows(F, out), self.ncols)
 
     def __matmul__(self, other):
@@ -197,8 +202,8 @@ def series_term(left, right, n, minus=()):
     multiplied: each row sums into a {column: value} accumulator whose
     cell starts as its first product, so over Q a sum of int products
     stays an int and a sum of Fractions never meets an int zero; the minus
-    terms join from the int 0. Rows are reduced once, at the end (see
-    reduce_rows)."""
+    terms join the same accumulators (see _add_scaled). Rows are reduced
+    once, at the end (see reduce_rows)."""
     F = left[0].field
     out = [{} for _ in range(left[0].nrows)]
     for i in range(max(0, n - len(right) + 1), min(n, len(left) - 1) + 1):
@@ -208,16 +213,20 @@ def series_term(left, right, n, minus=()):
                 for j, y in b[k]:
                     v = acc.get(j)
                     acc[j] = x * y if v is None else v + x * y
-    _add_scaled(out, 0, [(-c, m) for c, m in minus])
+    _add_scaled(out, [(-c, m) for c, m in minus])
     return Matrix.sparse(F, reduce_rows(F, out), right[0].ncols)
 
 
-def _add_scaled(out, zero, terms):
-    """Add c * m into the row accumulators out for each (c, m) in terms."""
+def _add_scaled(out, terms):
+    """Add c * m into the {column: sum} row accumulators out for each
+    (c, m) in terms. A cell absent from its accumulator starts as its
+    first term c * v, not from a zero: over Q int terms sum to an int and
+    Fraction terms never meet an int zero, as in series_term."""
     for c, m in terms:
         for acc, row in zip(out, m.rows):
             for j, v in row:
-                acc[j] = acc.get(j, zero) + c * v
+                w = acc.get(j)
+                acc[j] = c * v if w is None else w + c * v
 
 
 def reduce_rows(F, accumulators):

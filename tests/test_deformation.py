@@ -9,6 +9,7 @@ from helpers import (
     deformation_value_series,
     dense_product,
     frac_mat,
+    jordan_module,
     over_prime,
     poly_mat_mul,
     random_automorphism,
@@ -32,11 +33,13 @@ from moddef.deformation import (
     integrate,
     normalize,
     obstruction,
+    obstruction_outcome,
     rigidity_check,
 )
+from moddef.documents import encode_algebra, encode_module, parse_problem
 from moddef.errors import InputError
 from moddef.fields import PrimeField, QQ
-from moddef.fixtures import fixture_a, fixture_b, fixture_c
+from moddef.fixtures import fixture_a, fixture_b, fixture_c, fixture_documents
 from moddef.linalg import Matrix, series_term
 
 N = frac_mat([[0, 1], [0, 0]])
@@ -547,3 +550,39 @@ def test_check_deformation_matches_whole_matrix_oracle(d):
     whole matrices."""
     issue = check_deformation(d)
     assert (None if issue is None else issue.where) == reference_check_deformation(d)
+
+
+def _values(*cochains):
+    return [v for f in cochains for m in f.entries.values() for row in m.rows for _, v in row]
+
+
+def test_integral_deformations_stay_on_ints():
+    """Over Q a parsed pair holds its integral scalars as ints, and an
+    integral seed keeps them so: every term integrate appends, the witness
+    of obstruction_outcome and extend_once (the solve of d(xi) = -obs),
+    and the automorphism equivalent_one_step finds. Each sum starts as its
+    first term, so no Fraction zero turns an int sum into Fraction(k, 1)."""
+    alg, j33 = jordan_module(3, 3)
+    doc = {"field": "Q", "algebra": encode_algebra(alg), "module": encode_module(j33)}
+    c = parse_problem(fixture_documents()["C"])
+    rng = random.Random(11)
+    for mod, seed in ((c.module, c.cochain), (parse_problem(doc).module, None)):
+        d_m = mod.dim
+
+        def coboundary():
+            rows = [[rng.randint(-2, 2) for _ in range(d_m)] for _ in range(d_m)]
+            return differential(Cochain(mod, 0, {(): Matrix(QQ, rows)}))
+
+        seed = seed or coboundary()
+        outcome = obstruction_outcome(ApproximateDeformation(mod, [seed]))
+        assert extend_once(ApproximateDeformation(mod, [seed])).terms[-1] == outcome.witness
+        d = integrate(seed, 12)
+        assert d.order == 12
+        d1 = extend_once(d)
+        d2 = ApproximateDeformation(mod, d1.terms[:-1] + [d1.terms[-1] + coboundary()])
+        phi = equivalent_one_step(d1, d2)
+        assert conjugate(phi, d1) == d2
+        assert _values(*d.terms) and _values(outcome.witness) and not phi.terms[-1].is_zero()
+        values = _values(*d1.terms, outcome.obstruction, outcome.witness)
+        values += [v for row in phi.terms[-1].rows for _, v in row]
+        assert all(type(v) is int for v in values)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import frac_mat, matvec, oracle_rref, random_matrix, random_mod_matrix, reference_solve
+from helpers import frac_mat, matvec, oracle_rref, over_prime, random_matrix, random_mod_matrix, reference_solve
 from moddef import _kernel_py as kernel
+from moddef.cochain import Cochain
 from moddef.errors import InputError
 from moddef.fields import PrimeField, QQ
+from moddef.fixtures import fixture_c
 from moddef.linalg import Matrix, series_term, solve
 
 
@@ -658,3 +660,71 @@ def test_series_term_of_mixed_ints_and_fractions_is_the_fraction_sum(case):
         return x.numerator * pow(x.denominator, -1, 13) % 13
 
     assert over(F13, mod13) == Matrix(F13, [[mod13(v) for v in row] for row in want])
+
+
+@st.composite
+def combination_cases(draw):
+    """(kind, a, b, c): two dense matrices of one shape, up to 3x3, and a
+    scalar, all drawn from one kind of entry: "int" (ints and 0), "fraction"
+    (Fractions, Fraction(0) among them, over denominators 1 to 3), "mixed"
+    (both, and both zeros), or "F13" (residues 0 to 12, with a Fraction
+    scalar prime to 13 now and then)."""
+    ints = st.integers(-3, 3)
+    fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    kind = draw(st.sampled_from(("int", "fraction", "mixed", "F13")))
+    cells, scalar = {
+        "int": (ints, ints),
+        "fraction": (fractions, fractions),
+        "mixed": (st.one_of(ints, fractions), st.one_of(ints, fractions)),
+        "F13": (st.integers(0, 12), st.one_of(st.integers(-13, 13), fractions)),
+    }[kind]
+    r, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def matrix():
+        return [[draw(cells) for _ in range(k)] for _ in range(r)]
+
+    return kind, matrix(), matrix(), draw(scalar)
+
+
+@settings(max_examples=300)
+@given(combination_cases())
+def test_sums_differences_negation_and_scaling_are_the_entrywise_sums(case):
+    """+, -, negation and scale equal the entrywise Fraction results over Q
+    (mod 13 over F_13, a Fraction scalar read as n * d^-1). Each cell
+    starts as its first term, so over Q all-int input, scalar included,
+    gives only ints and no Fraction with denominator 1."""
+    kind, a, b, c = case
+    F = PrimeField(13) if kind == "F13" else QQ
+
+    def red(x):
+        x = Fraction(x)
+        return x if F is QQ else x.numerator * pow(x.denominator, -1, 13) % 13
+
+    A, B = Matrix(F, a), Matrix(F, b)
+    cases = {
+        "+": (A + B, lambda x, y: x + y),
+        "-": (A - B, lambda x, y: x - y),
+        "neg": (-A, lambda x, y: -x),
+        "scale": (A.scale(c), lambda x, y: Fraction(c) * x),
+    }
+    for op, (got, entry) in cases.items():
+        want = [[red(entry(Fraction(x), Fraction(y))) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        assert got.data == want, op
+        if kind == "int":
+            assert all(type(v) is int for v in _values(got)), op
+
+
+def test_scale_over_a_prime_field_reads_a_fraction_as_a_residue():
+    """Over F_p, scale(n/d) multiplies by n * d^-1 mod p, as parse reads
+    the text n/d, for a Matrix and a Cochain alike, and refuses a scalar
+    whose denominator p divides."""
+    F7 = PrimeField(7)
+    m = Matrix(F7, [[1, 2], [3, 4]])
+    assert m.scale(Fraction(1, 2)).data == [[4, 1], [5, 2]]
+    assert m.scale(Fraction(-3, 2)) == m.scale(F7.parse("-3/2")) == m.scale(2)
+    _, mod = over_prime(*fixture_c(), 7)
+    f = Cochain(mod, 1, {(1,): Matrix(F7, [[1, 0], [0, 6]])})
+    assert f.scale(Fraction(1, 2)).value((1,)).data == [[4, 0], [0, 3]]
+    for scaled in (lambda: m.scale(Fraction(1, 14)), lambda: f.scale(Fraction(3, 7))):
+        with pytest.raises(InputError, match="denominator divisible by 7"):
+            scaled()
