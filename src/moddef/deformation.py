@@ -17,8 +17,12 @@ order further exactly when that cocycle is a coboundary, and the appended
 term is the canonical solution of  d(xi_{m+1}) = -obstruction.
 
 Automorphisms are truncated series 1 + t phi_1 + ... of operators, stored
-as their term lists and treated as exact polynomials; conjugating a
-deformation by an automorphism truncates at the deformation's order.
+as their terms past the identity and treated as exact polynomials. No
+product is ever by the identity term: composition reads
+(1 + L)(1 + R) = 1 + L + R + LR, inversion (1 + phi)(1 + psi) = 1, and
+conjugation phi xi' = xi phi, which yields xi' = phi^-1 xi phi one order
+at a time with no inverse series. Conjugating a deformation truncates at
+the deformation's order.
 """
 
 from collections import namedtuple
@@ -26,7 +30,7 @@ from collections import namedtuple
 from .algebra import Module, Violation, multiplicativity_defects, validate_module
 from .cochain import Cochain, coboundary_witness, cohomology, is_cocycle
 from .errors import InputError
-from .linalg import Matrix, series_term
+from .linalg import Matrix, product_sum, series_term
 
 
 class ApproximateDeformation:
@@ -75,28 +79,34 @@ class FormalAutomorphism:
         self.terms = list(terms)
         self.order = len(self.terms)
 
-    def series(self):
-        """The identity followed by the stored terms; series_term reads any
-        term past the end as zero."""
-        return [self.module.identity_operator()] + self.terms
-
     def invert(self, order):
-        """Inverse truncated at order: psi_n = -sum_{i>=1} phi_i psi_{n-i}."""
-        phi = self.series()
-        psi = [phi[0]]
+        """Inverse truncated at order, from (1 + phi)(1 + psi) = 1: term n
+        is psi_n = -phi_n - sum_{i=1..n-1} phi_i psi_{n-i}, so only terms
+        past the identity are multiplied."""
+        F, dim = self.module.field, self.module.dim
+        negated = [-t for t in self.terms[:order]]
+        psi = []
         for n in range(1, order + 1):
-            # psi holds terms 0..n-1, so the sum starts at i = 1
-            psi.append(-series_term(phi, psi, n))
-        return FormalAutomorphism(self.module, psi[1:])
+            products = [(negated[i - 1], psi[n - i - 1]) for i in range(1, min(n, self.order + 1))]
+            phi_n = [(-1, self.terms[n - 1])] if n <= self.order else []
+            psi.append(product_sum(F, dim, dim, products, phi_n))
+        return FormalAutomorphism(self.module, psi)
 
     def compose(self, other, order):
-        """Product truncated at order; term n is sum phi_i chi_{n-i}."""
+        """Product truncated at order, from (1 + L)(1 + R) = 1 + L + R + LR:
+        term n is l_n + r_n + sum_{i=1..n-1} l_i r_{n-i}, so only terms
+        past the identity are multiplied."""
         if self.module != other.module:
             raise InputError("automorphisms live over different modules")
-        left, right = self.series(), other.series()
-        return FormalAutomorphism(
-            self.module, [series_term(left, right, n) for n in range(1, order + 1)]
-        )
+        F, dim = self.module.field, self.module.dim
+        left, right = self.terms, other.terms
+        terms = []
+        for n in range(1, order + 1):
+            lo, hi = max(1, n - len(right)), min(n - 1, len(left))
+            products = [(left[i - 1], right[n - i - 1]) for i in range(lo, hi + 1)]
+            ends = [(1, s[n - 1]) for s in (left, right) if n <= len(s)]
+            terms.append(product_sum(F, dim, dim, products, ends))
+        return FormalAutomorphism(self.module, terms)
 
     def is_identity(self):
         return all(t.is_zero() for t in self.terms)
@@ -201,21 +211,29 @@ def integrate(sigma: Cochain, target_order: int):
 
 
 def conjugate(phi: FormalAutomorphism, d: ApproximateDeformation) -> ApproximateDeformation:
-    """The deformation with terms sum_{i+j+k=n} psi_i xi_j(-) phi_k, where
-    psi is the truncated inverse of phi; truncated at the order of d.
-    Computed as psi . (xi . phi), one series product at a time."""
+    """The deformation xi' = phi^-1 xi phi, truncated at the order of d.
+
+    It is read off phi xi' = xi phi with no inverse series: term n is
+
+        xi'_n = xi_n + sum_{k>=1} xi_{n-k} phi_k - sum_{k>=1} phi_k xi'_{n-k},
+
+    two series products over the terms phi_k past the identity, so no
+    product is by the identity. For normalize's step 1 - t^l g that is
+    xi'_n = xi_n - xi_{n-l} g + g xi'_{n-l}."""
     if phi.module != d.module:
         raise InputError("automorphism and deformation live over different modules")
-    mod = d.module
-    m = d.order
-    psi = phi.invert(m).series()
-    phi_terms = phi.series()
+    mod, m = d.module, d.order
+    terms = phi.terms[:m]
+    if not terms:
+        return ApproximateDeformation(mod, d.terms)
     entries = [{} for _ in range(m)]
     for a in range(mod.algebra.dim):
         xi = d.series(a)
-        xi_phi = [series_term(xi, phi_terms, k) for k in range(m + 1)]
+        out = xi[:1]
         for n in range(1, m + 1):
-            entries[n - 1][(a,)] = series_term(psi, xi_phi, n)
+            back = series_term(terms, out, n - 1)
+            out.append(series_term(xi, terms, n - 1, ((-1, xi[n]), (1, back))))
+            entries[n - 1][(a,)] = out[n]
     return ApproximateDeformation(mod, [Cochain(mod, 1, e) for e in entries])
 
 
@@ -226,7 +244,8 @@ def normalize(d: ApproximateDeformation):
     Returns (deformation, automorphism, leading) where leading is the
     index of the first term whose class is nonzero, or None when every
     term through the truncation order was eliminated. Conjugating the
-    input by the returned automorphism reproduces the output exactly."""
+    input by the returned automorphism reproduces the output exactly; it
+    has no terms when no step is taken, and d.order terms otherwise."""
     current = d
     composite = FormalAutomorphism(d.module, [])
     while True:

@@ -26,9 +26,12 @@ too, so that validation and elimination run on integers (see
 ``_kernel_py``), and a library caller may pass ints or Fractions. The zero
 and one of Q stay Fractions. Every matrix sum starts each cell from its
 first term, not from zero, so a sum of ints stays an int: the operator
-products (``linalg.series_term``, ``Matrix.__matmul__``,
-``cochain.differential``) and the sums, differences, negations and
-scalings (``Matrix._combination``). Only ``Matrix.identity``,
+products (``linalg.product_sum``, so ``series_term`` and
+``Matrix.__matmul__``, and ``cochain.differential``) and the sums,
+differences, negations and scalings (``Matrix._combination``). A Fraction
+sum that lands on an integer leaves ``linalg.reduce_rows`` as the int, so
+``Matrix(QQ, [[1, 2]]).scale(Fraction(1, 2))`` holds 1/2 and the int 1.
+Only ``Matrix.identity``,
 ``Cochain.flatten``, ``solve`` and ``Matrix.kernel_basis`` still start
 from the Fraction zero and one; ``Cochain.unflatten`` reads a solve's
 Fraction(k, 1) back as the int k.

@@ -129,7 +129,7 @@ class Matrix:
             raise InputError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        return series_term([self], [other], 0)
+        return product_sum(self.field, self.nrows, other.ncols, [(self, other)])
 
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
@@ -198,30 +198,41 @@ class Matrix:
 def series_term(left, right, n, minus=()):
     """Term n of the product of two truncated operator series given as
     term lists (left[i] @ right[n - i] summed over the indices both lists
-    hold), less c * m for each (c, m) in minus. Only nonzeros are
-    multiplied: each row sums into a {column: value} accumulator whose
-    cell starts as its first product, so over Q a sum of int products
-    stays an int and a sum of Fractions never meets an int zero; the minus
-    terms join the same accumulators (see _add_scaled). Rows are reduced
-    once, at the end (see reduce_rows)."""
-    F = left[0].field
-    out = [{} for _ in range(left[0].nrows)]
-    for i in range(max(0, n - len(right) + 1), min(n, len(left) - 1) + 1):
-        b = right[n - i].rows
-        for acc, arow in zip(out, left[i].rows):
+    hold), less c * m for each (c, m) in minus (see product_sum)."""
+    lo, hi = max(0, n - len(right) + 1), min(n, len(left) - 1)
+    return product_sum(
+        left[0].field,
+        left[0].nrows,
+        right[0].ncols,
+        zip(left[lo : hi + 1], reversed(right[n - hi : n - lo + 1])),
+        [(-c, m) for c, m in minus],
+    )
+
+
+def product_sum(F, nrows, ncols, products, terms=()):
+    """The nrows x ncols sum of a @ b over (a, b) in products plus c * m
+    over (c, m) in terms. Only nonzeros are multiplied: each row sums into
+    a {column: value} accumulator whose cell starts as its first product,
+    so over Q a sum of int products stays an int and a sum of Fractions
+    never meets an int zero; the terms join the same accumulators (see
+    _add_scaled). Rows are reduced once, at the end (see reduce_rows)."""
+    out = [{} for _ in range(nrows)]
+    for a, b in products:
+        b = b.rows
+        for acc, arow in zip(out, a.rows):
             for k, x in arow:
                 for j, y in b[k]:
                     v = acc.get(j)
                     acc[j] = x * y if v is None else v + x * y
-    _add_scaled(out, [(-c, m) for c, m in minus])
-    return Matrix.sparse(F, reduce_rows(F, out), right[0].ncols)
+    _add_scaled(out, terms)
+    return Matrix.sparse(F, reduce_rows(F, out), ncols)
 
 
 def _add_scaled(out, terms):
     """Add c * m into the {column: sum} row accumulators out for each
     (c, m) in terms. A cell absent from its accumulator starts as its
     first term c * v, not from a zero: over Q int terms sum to an int and
-    Fraction terms never meet an int zero, as in series_term."""
+    Fraction terms never meet an int zero, as in product_sum."""
     for c, m in terms:
         for acc, row in zip(out, m.rows):
             for j, v in row:
@@ -231,11 +242,16 @@ def _add_scaled(out, terms):
 
 def reduce_rows(F, accumulators):
     """{column: sum} row accumulators as canonical sparse rows: each sum
-    reduced (over F_p; over Q every sum already is canonical), zeros
-    dropped, columns in increasing order."""
+    reduced (over F_p taken % p; over Q a Fraction that lands on an
+    integer leaves as the int, as fields.integral reads it, so every later
+    product with it runs on ints), zeros dropped, columns in increasing
+    order."""
     p = F.p
     if p is None:
-        return [[(j, v) for j, v in sorted(acc.items()) if v] for acc in accumulators]
+        return [
+            [(j, v.numerator if v.denominator == 1 else v) for j, v in sorted(acc.items()) if v]
+            for acc in accumulators
+        ]
     return [[(j, r) for j, v in sorted(acc.items()) if (r := v % p)] for acc in accumulators]
 
 

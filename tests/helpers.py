@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 from moddef.algebra import Algebra, Module, Violation
-from moddef.cochain import Cochain, CohomologyReport, differential_matrix
+from moddef.cochain import Cochain, CohomologyReport, coboundary_witness, differential_matrix
 from moddef.deformation import ApproximateDeformation, FormalAutomorphism
 from moddef.fields import PrimeField, QQ
 from moddef.linalg import Matrix
@@ -721,9 +721,10 @@ def random_automorphism(mod, order, rng, scale=2):
 
 
 def poly_mat_mul(a, b, order):
-    """Coefficient list of the product of two matrix polynomials, truncated."""
+    """Coefficient list of the product of two matrix polynomials, truncated:
+    order + 1 terms, each summed from dense_product."""
     dim = a[0].nrows
-    out = [Matrix.zeros(QQ, dim, dim) for _ in range(order + 1)]
+    out = [Matrix.zeros(a[0].field, dim, dim) for _ in range(order + 1)]
     for i, ai in enumerate(a):
         if i > order:
             break
@@ -737,3 +738,70 @@ def poly_mat_mul(a, b, order):
 def deformation_value_series(d: ApproximateDeformation, basis_index):
     """Coefficient list of the deformed action of a basis element."""
     return [d.module.action[basis_index]] + [t.value((basis_index,)) for t in d.terms]
+
+
+def reference_series_inverse(a, order):
+    """Coefficient list of the inverse of the matrix polynomial a, whose
+    term 0 is the identity, truncated: psi_0 = 1 and psi_n = -sum_{i=1..n}
+    a_i psi_{n-i}, each product from dense_product."""
+    F, dim = a[0].field, a[0].nrows
+    assert a[0] == Matrix.identity(F, dim), "term 0 is not the identity"
+    psi = [a[0]]
+    for n in range(1, order + 1):
+        acc = Matrix.zeros(F, dim, dim)
+        for i in range(1, min(n, len(a) - 1) + 1):
+            acc = acc - dense_product(a[i], psi[n - i])
+        psi.append(acc)
+    return psi
+
+
+def automorphism_polynomial(phi: FormalAutomorphism):
+    """Coefficient list 1, phi_1, ..., phi_m of a truncated automorphism."""
+    return [Matrix.identity(phi.module.field, phi.module.dim)] + list(phi.terms)
+
+
+def reference_conjugate(phi: FormalAutomorphism, d: ApproximateDeformation):
+    """Per basis element a, the coefficient list of Psi xi_a Phi truncated
+    at the order of d, Phi = 1 + t phi_1 + ... and Psi its reference
+    inverse: the conjugated action as the triple product of polynomials."""
+    m = d.order
+    big_phi = automorphism_polynomial(phi)
+    big_psi = reference_series_inverse(big_phi, m)
+    return [
+        poly_mat_mul(poly_mat_mul(big_psi, deformation_value_series(d, a), m), big_phi, m)
+        for a in range(d.module.algebra.dim)
+    ]
+
+
+def from_value_series(module, series):
+    """The deformation whose term n takes value series[a][n] at basis a."""
+    return ApproximateDeformation(
+        module,
+        [
+            Cochain(module, 1, {(a,): s[n] for a, s in enumerate(series)})
+            for n in range(1, len(series[0]))
+        ],
+    )
+
+
+def reference_normalize(d: ApproximateDeformation):
+    """normalize by its definition, on coefficient lists: while the leading
+    nonzero term l is the coboundary of the canonical witness g, conjugate
+    every basis element's series by 1 - t^l g through reference_conjugate,
+    and multiply the composite automorphism by that step with poly_mat_mul.
+    Returns (deformation, composite terms, leading): no composite terms when
+    no step is taken, d.order of them otherwise."""
+    mod, m = d.module, d.order
+    current, composite = d, [Matrix.identity(mod.field, mod.dim)]
+    while True:
+        lead = next((n for n, t in enumerate(current.terms, 1) if not t.is_zero()), None)
+        if lead is None:
+            break
+        witness = coboundary_witness(current.terms[lead - 1])
+        if witness is None:
+            break
+        zero = mod.zero_operator()
+        step = FormalAutomorphism(mod, [zero] * (lead - 1) + [-witness.value(())])
+        current = from_value_series(mod, reference_conjugate(step, current))
+        composite = poly_mat_mul(composite, automorphism_polynomial(step), m)
+    return current, composite[1:], lead

@@ -12,14 +12,20 @@ from helpers import (
     jordan_module,
     over_prime,
     poly_mat_mul,
+    automorphism_polynomial,
     random_automorphism,
     random_coboundary,
+    random_cochain,
     random_cocycle,
     random_matrix,
+    random_mod_matrix,
     random_pair,
     reference_check_deformation,
+    reference_conjugate,
+    reference_normalize,
+    reference_series_inverse,
 )
-from moddef.algebra import Module, Violation
+from moddef.algebra import Module, Violation, validate_module
 from moddef.cochain import Cochain, coboundary_witness, differential, is_cocycle
 from moddef.deformation import (
     ApproximateDeformation,
@@ -300,6 +306,60 @@ def test_invert_round_trip():
         assert psi.compose(phi, 4).is_identity()
 
 
+def _field_matrix(rng, mod, density=0.7):
+    """A random operator over the module's field: small fractions over Q,
+    uniform residues over F_p."""
+    p, n = mod.field.p, mod.dim
+    if p is None:
+        return random_matrix(rng, n, n, density=density, scale=2)
+    return random_mod_matrix(rng, n, n, p, density=density)
+
+
+def _random_field_pair(draw, rng):
+    alg, mod = random_pair(rng)
+    p = draw(st.sampled_from((None, 13, 10007)))
+    return (alg, mod) if p is None else over_prime(alg, mod, p)
+
+
+def _draw_automorphism(draw, rng, mod, order):
+    """The empty automorphism, a one-term one 1 + t^l g as normalize's
+    steps are, or a dense one, with up to order + 2 terms, so shorter or
+    longer than a deformation of that order."""
+    shape = draw(st.sampled_from(("empty", "one-term", "dense")))
+    if shape == "empty":
+        return FormalAutomorphism(mod, [])
+    length = draw(st.integers(1, order + 2))
+    if shape == "one-term":
+        terms = [mod.zero_operator()] * (length - 1) + [_field_matrix(rng, mod, density=0.8)]
+    else:
+        terms = [_field_matrix(rng, mod) for _ in range(length)]
+    return FormalAutomorphism(mod, terms)
+
+
+@st.composite
+def automorphism_pairs(draw):
+    """(phi, chi, order) over Q, F_13 or F_10007, with order in 0..6."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    _, mod = _random_field_pair(draw, rng)
+    order = draw(st.integers(0, 6))
+    return _draw_automorphism(draw, rng, mod, order), _draw_automorphism(draw, rng, mod, order), order
+
+
+@settings(max_examples=150)
+@given(automorphism_pairs())
+def test_compose_and_invert_match_polynomial_products(case):
+    """compose is the truncated product of 1 + phi and 1 + chi, and invert
+    the truncated inverse of 1 + phi, both against dense polynomial
+    products; each has exactly order terms."""
+    phi, chi, order = case
+    want = poly_mat_mul(automorphism_polynomial(phi), automorphism_polynomial(chi), order)
+    assert phi.compose(chi, order).terms == want[1:]
+    psi = phi.invert(order)
+    assert psi.terms == reference_series_inverse(automorphism_polynomial(phi), order)[1:]
+    product = poly_mat_mul(automorphism_polynomial(phi), automorphism_polynomial(psi), order)
+    assert all(t.is_zero() for t in product[1:])
+
+
 def test_automorphism_refuses_terms_over_another_field():
     """An F_7 series cannot reach conjugate with a deformation over Q."""
     _, mod = fixture_c()
@@ -337,6 +397,50 @@ def test_conjugation_kills_coboundary_term():
     phi = FormalAutomorphism(mod, [-w])
     out = conjugate(phi, order_one(mod, sigma_c(mod)))
     assert out.is_trivial()
+
+
+@st.composite
+def conjugations(draw):
+    """(phi, d): a deformation of order 1..4 with random terms over Q, F_13
+    or F_10007 (conjugation needs no multiplicativity) and an automorphism
+    from _draw_automorphism."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    _, mod = _random_field_pair(draw, rng)
+    order = draw(st.integers(1, 4))
+    d = ApproximateDeformation(mod, [random_cochain(mod, 1, rng) for _ in range(order)])
+    return _draw_automorphism(draw, rng, mod, order), d
+
+
+@settings(max_examples=150)
+@given(conjugations())
+def test_conjugate_is_the_triple_product(case):
+    """conjugate(phi, d) at basis a is Psi xi_a Phi truncated at d's order,
+    Psi the inverse of Phi = 1 + phi, all from dense polynomial products."""
+    phi, d = case
+    got = conjugate(phi, d)
+    want = reference_conjugate(phi, d)
+    assert got.order == d.order
+    for a, series in enumerate(want):
+        assert [t.value((a,)) for t in got.terms] == series[1:]
+
+
+def test_conjugation_builds_no_identity_and_no_inverse(monkeypatch):
+    """conjugate, normalize, compose and invert multiply only the terms past
+    the identity, and conjugate never inverts."""
+    _, mod = fixture_c()
+    d = integrate(sigma_c(mod), 6)
+    phi = random_automorphism(mod, 3, random.Random(7))
+    assert validate_module(mod) == []
+
+    def refuse(*args):
+        raise AssertionError("identity built")
+
+    monkeypatch.setattr(Matrix, "identity", refuse)
+    phi.compose(phi, 6)
+    phi.invert(6)
+    monkeypatch.setattr(FormalAutomorphism, "invert", refuse)
+    conjugate(phi, d)
+    assert normalize(d)[2] is None
 
 
 # --- normalization ---------------------------------------------------------------
@@ -389,6 +493,47 @@ def test_normalize_reproduced_by_conjugation():
         assert conjugate(auto, out) == normalized
         if leading is not None:
             assert coboundary_witness(normalized.terms[leading - 1]) is None
+
+
+@st.composite
+def normalizable(draw):
+    """A deformation of order 1..4 over Q, F_13 or F_10007: trivial, a
+    coboundary or a random cocycle integrated as far as it goes, or random
+    terms; half the time conjugated by a random automorphism."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    _, mod = _random_field_pair(draw, rng)
+    order = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("trivial", "coboundary", "cocycle", "random")))
+    if kind == "trivial":
+        d = ApproximateDeformation(mod, [Cochain(mod, 1)] * order)
+    elif kind == "random":
+        d = ApproximateDeformation(mod, [random_cochain(mod, 1, rng) for _ in range(order)])
+    else:
+        if kind == "coboundary":
+            seed = differential(Cochain(mod, 0, {(): _field_matrix(rng, mod)}))
+        else:
+            seed = random_cocycle(mod, rng)
+        d = integrate(seed, order)
+        if not isinstance(d, ApproximateDeformation):
+            d = integrate(seed, d[0])
+    if draw(st.booleans()):
+        d = conjugate(FormalAutomorphism(mod, [_field_matrix(rng, mod) for _ in range(order)]), d)
+    return d
+
+
+@settings(max_examples=80)
+@given(normalizable())
+def test_normalize_matches_reference_loop(d):
+    """normalize equals its definition run on dense polynomial products,
+    and its automorphism has no terms when no step is taken and exactly
+    d.order terms otherwise."""
+    normalized, auto, leading = normalize(d)
+    want, composite, want_leading = reference_normalize(d)
+    assert (normalized, auto.terms, leading) == (want, composite, want_leading)
+    lead = infinitesimal(d)
+    stepped = lead is not None and coboundary_witness(lead[1]) is not None
+    assert auto.order == (d.order if stepped else 0)
+    assert conjugate(auto, d) == normalized
 
 
 # --- one-step equivalence ---------------------------------------------------------
@@ -491,7 +636,8 @@ def test_series_term_matches_naive_product_sum(case):
             want = want + dense_product(left[i], right[n - i])
     got = series_term(left, right, n)
     assert got == want
-    assert all(type(x) is (Fraction if field == QQ else int) for row in got.data for x in row)
+    # an int where integral (over F_p every residue), a Fraction elsewhere
+    assert all(type(x) is (int if x.denominator == 1 else Fraction) for row in got.rows for _, x in row)
 
 
 def _over(field, mat):
