@@ -154,7 +154,8 @@ class Cochain:
         (reduced over F_p; over Q an int where it is integral, since a
         solve against integral data may answer Fraction(k, 1) where the
         field's zero met an int), and only the tuples with a nonzero value
-        are built, straight as sparse rows."""
+        are built, straight as sparse rows, marked as ints for the product
+        loop when no value is a Fraction (see Matrix.sparse)."""
         F, d_r, d_m = module.field, module.algebra.dim, module.dim
         reduce = integral if F.p is None else F.reduce
         m2 = d_m * d_m
@@ -168,14 +169,16 @@ class Cochain:
         else:
             items = enumerate(vec)
         blocks = defaultdict(lambda: [[] for _ in range(d_m)])
+        ints = True
         for i, v in items:
             if v := reduce(v):
                 t, rem = divmod(i, m2)
                 r, c = divmod(rem, d_m)
                 blocks[t][r].append((c, v))
+                ints = ints and type(v) is int
         entries = {
             tuple(t // d_r ** (degree - 1 - j) % d_r for j in range(degree)):
-                Matrix.sparse(F, rows, d_m)
+                Matrix.sparse(F, rows, d_m, ints)
             for t, rows in blocks.items()
         }
         return cls(module, degree, entries)

@@ -19,10 +19,9 @@ term is the canonical solution of  d(xi_{m+1}) = -obstruction.
 Automorphisms are truncated series 1 + t phi_1 + ... of operators, stored
 as their terms past the identity and treated as exact polynomials. No
 product is ever by the identity term: composition reads
-(1 + L)(1 + R) = 1 + L + R + LR, inversion (1 + phi)(1 + psi) = 1, and
-conjugation phi xi' = xi phi, which yields xi' = phi^-1 xi phi one order
-at a time with no inverse series. Conjugating a deformation truncates at
-the deformation's order.
+(1 + L)(1 + R) = 1 + L + R + LR, and conjugation phi xi' = xi phi, which
+yields xi' = phi^-1 xi phi one order at a time with no inverse series.
+Conjugating a deformation truncates at the deformation's order.
 """
 
 from collections import namedtuple
@@ -52,9 +51,6 @@ class ApproximateDeformation:
         key, zero = (basis_index,), self.module.zero_operator()
         return [self.module.action[basis_index]] + [t.entries.get(key, zero) for t in self.terms]
 
-    def is_trivial(self):
-        return all(t.is_zero() for t in self.terms)
-
     def __eq__(self, other):
         return (
             isinstance(other, ApproximateDeformation)
@@ -79,19 +75,6 @@ class FormalAutomorphism:
         self.terms = list(terms)
         self.order = len(self.terms)
 
-    def invert(self, order):
-        """Inverse truncated at order, from (1 + phi)(1 + psi) = 1: term n
-        is psi_n = -phi_n - sum_{i=1..n-1} phi_i psi_{n-i}, so only terms
-        past the identity are multiplied."""
-        F, dim = self.module.field, self.module.dim
-        negated = [-t for t in self.terms[:order]]
-        psi = []
-        for n in range(1, order + 1):
-            products = [(negated[i - 1], psi[n - i - 1]) for i in range(1, min(n, self.order + 1))]
-            phi_n = [(-1, self.terms[n - 1])] if n <= self.order else []
-            psi.append(product_sum(F, dim, dim, products, phi_n))
-        return FormalAutomorphism(self.module, psi)
-
     def compose(self, other, order):
         """Product truncated at order, from (1 + L)(1 + R) = 1 + L + R + LR:
         term n is l_n + r_n + sum_{i=1..n-1} l_i r_{n-i}, so only terms
@@ -107,9 +90,6 @@ class FormalAutomorphism:
             ends = [(1, s[n - 1]) for s in (left, right) if n <= len(s)]
             terms.append(product_sum(F, dim, dim, products, ends))
         return FormalAutomorphism(self.module, terms)
-
-    def is_identity(self):
-        return all(t.is_zero() for t in self.terms)
 
     def __eq__(self, other):
         return (

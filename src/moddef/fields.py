@@ -26,10 +26,12 @@ too, so that validation and elimination run on integers (see
 ``_kernel_py``), and a library caller may pass ints or Fractions. The zero
 and one of Q stay Fractions. Every matrix sum starts each cell from its
 first term, not from zero, so a sum of ints stays an int: the operator
-products (``linalg.product_sum``, so ``series_term`` and
-``Matrix.__matmul__``, and ``cochain.differential``) and the sums,
-differences, negations and scalings (``Matrix._combination``). A Fraction
-sum that lands on an integer leaves ``linalg.reduce_rows`` as the int, so
+products, sums, differences, negations and scalings are all
+``linalg.product_sum`` (so ``series_term``, ``Matrix.__matmul__`` and
+``Matrix._combination``), and ``cochain.differential`` does the same.
+Once a factor holds a Fraction, ``product_sum`` sums int numerators over
+one common denominator L instead, and a cell leaves as the int where L
+divides it, else as the Fraction in lowest terms, so
 ``Matrix(QQ, [[1, 2]]).scale(Fraction(1, 2))`` holds 1/2 and the int 1.
 Only ``Matrix.identity``,
 ``Cochain.flatten``, ``solve`` and ``Matrix.kernel_basis`` still start

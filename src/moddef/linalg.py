@@ -15,11 +15,25 @@ and the transpose all read and build sparse rows. The dense rows of a
 matrix are a view, built afresh on each read of ``data``, for encoding
 and tests.
 
+Every operator product, sum, difference, negation and scaling is one loop,
+``product_sum``. It sums ints while every factor holds ints (always over
+F_p). Over Q, a factor that holds a Fraction is multiplied as int
+numerator rows over one positive denominator, computed once per matrix and
+cached on it, and the sum runs over the lcm of the denominators, so a
+Fraction is built only where a cell leaves the sum. Whether a matrix holds
+a Fraction is decided where it is built (by the dense constructor,
+``product_sum`` and ``Cochain.unflatten``) or else when it is first
+multiplied, never per product.
+
 ``Matrix.rref`` and ``solve`` import the elimination kernel locally, as
 ``_backend.kernel``, so a call that never eliminates (validation) never
 loads it, and read its entry points off that module on each call, so a
 tracer's patches of them hold.
 """
+
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -31,13 +45,19 @@ class Matrix:
     order, nonzero values only; every operator here returns residues in
     (0, p) over F_p. data is the dense view of rows, a fresh list of lists
     on each read, so a write into it changes nothing.
+
+    _ints and _num are the forms product_sum multiplies. _ints is rows when
+    no entry is a Fraction (always over F_p), and None over Q when one is
+    or while that is unknown (see sparse); _num caches the numerator form
+    of a matrix that holds a Fraction (see _numerators).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_ops")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_ops", "_ints", "_num")
 
     def __init__(self, field, data, ncols=None):
         """The matrix with these dense rows; only their nonzeros are kept,
-        reduced (over F_p each entry is taken % p)."""
+        reduced (over F_p each entry is taken % p), and whether one is a
+        Fraction is read here (see _numerators)."""
         if data:
             ncols = len(data[0]) if ncols is None else ncols
         elif ncols is None:
@@ -45,21 +65,44 @@ class Matrix:
         for row in data:
             if len(row) != ncols:
                 raise InputError("ragged matrix rows")
-        self.field, self.nrows, self.ncols = field, len(data), ncols
         p = field.p
         if p is None:
-            self.rows = [[(j, v) for j, v in enumerate(row) if v] for row in data]
+            rows = [[(j, v) for j, v in enumerate(row) if v] for row in data]
+            ints = all(type(v) is int for row in rows for _, v in row)
         else:
-            self.rows = [[(j, r) for j, v in enumerate(row) if (r := v % p)] for row in data]
-        self._rref = self._ops = None
+            rows = [[(j, r) for j, v in enumerate(row) if (r := v % p)] for row in data]
+            ints = True
+        self.field, self.nrows, self.ncols, self.rows = field, len(data), ncols, rows
+        self._rref = self._ops = self._num = None
+        self._ints = rows if ints else None
 
     @classmethod
-    def sparse(cls, field, rows, ncols):
-        """The matrix with these sparse rows (not copied)."""
+    def sparse(cls, field, rows, ncols, ints=False):
+        """The matrix with these sparse rows (not copied); ints=True tells
+        it that no entry is a Fraction, which over Q it otherwise looks
+        for when product_sum first multiplies it."""
         m = cls.__new__(cls)
         m.field, m.nrows, m.ncols, m.rows = field, len(rows), ncols, rows
-        m._rref = m._ops = None
+        m._rref = m._ops = m._num = None
+        m._ints = rows if ints or field.p is not None else None
         return m
+
+    def _numerators(self):
+        """(D, numerator rows): the rows as int numerators over their least
+        common positive denominator D, computed once. A matrix found here
+        to hold no Fraction gets _ints = rows (D = 1), so product_sum
+        multiplies it on ints from then on."""
+        if self._ints is not None:
+            return 1, self._ints
+        if self._num is None:
+            rows = self.rows
+            dens = {v.denominator for row in rows for _, v in row if type(v) is not int}
+            if not dens:
+                self._ints = rows
+                return 1, rows
+            D = lcm(*dens)
+            self._num = D, [[(j, v.numerator * (D // v.denominator)) for j, v in row] for row in rows]
+        return self._num
 
     @property
     def data(self):
@@ -75,7 +118,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        return cls.sparse(field, [[] for _ in range(nrows)], ncols)
+        return cls.sparse(field, [[] for _ in range(nrows)], ncols, ints=True)
 
     @classmethod
     def identity(cls, field, n):
@@ -114,13 +157,9 @@ class Matrix:
         return self._combination(((self.field.scalar(c), self),))
 
     def _combination(self, terms):
-        """The sum of c * m over (c, m) in terms, all of self's shape; each
-        cell starts as its first term (see _add_scaled), so over Q integral
-        input gives an integral matrix of ints."""
-        F = self.field
-        out = [{} for _ in range(self.nrows)]
-        _add_scaled(out, terms)
-        return Matrix.sparse(F, reduce_rows(F, out), self.ncols)
+        """The sum of c * m over (c, m) in terms, all of self's shape: a
+        product_sum with no products."""
+        return product_sum(self.field, self.nrows, self.ncols, (), terms)
 
     def __matmul__(self, other):
         if self.field != other.field:
@@ -211,48 +250,98 @@ def series_term(left, right, n, minus=()):
 
 def product_sum(F, nrows, ncols, products, terms=()):
     """The nrows x ncols sum of a @ b over (a, b) in products plus c * m
-    over (c, m) in terms. Only nonzeros are multiplied: each row sums into
-    a {column: value} accumulator whose cell starts as its first product,
-    so over Q a sum of int products stays an int and a sum of Fractions
-    never meets an int zero; the terms join the same accumulators (see
-    _add_scaled). Rows are reduced once, at the end (see reduce_rows)."""
+    over (c, m) in the sequence terms, c an int, or over Q a Fraction:
+    every operator product, sum, difference, negation and scaling.
+
+    Only nonzeros are multiplied: each row sums into a {column: value}
+    accumulator whose cell starts as its first product or term, never from
+    a zero. While no factor holds a Fraction and every c is an int (always
+    over F_p) the cells are ints, reduced % p over F_p at the end. Over Q,
+    from the first factor or c that holds a Fraction on, the sum goes on
+    over integer numerators (see _numerator_sum), so no cell is ever a
+    Fraction while it is summed.
+
+    The int loop checks nothing per product: it reads each factor's _ints,
+    and a None there (a Fraction held, or not yet looked for) raises a
+    TypeError before anything of that product is added. The pair is then
+    looked at once (see Matrix._numerators), and the sum goes on from it,
+    on ints again if both factors turn out integral."""
     out = [{} for _ in range(nrows)]
-    for a, b in products:
-        b = b.rows
-        for acc, arow in zip(out, a.rows):
-            for k, x in arow:
-                for j, y in b[k]:
-                    v = acc.get(j)
-                    acc[j] = x * y if v is None else v + x * y
-    _add_scaled(out, terms)
-    return Matrix.sparse(F, reduce_rows(F, out), ncols)
-
-
-def _add_scaled(out, terms):
-    """Add c * m into the {column: sum} row accumulators out for each
-    (c, m) in terms. A cell absent from its accumulator starts as its
-    first term c * v, not from a zero: over Q int terms sum to an int and
-    Fraction terms never meet an int zero, as in product_sum."""
-    for c, m in terms:
-        for acc, row in zip(out, m.rows):
+    products = iter(products)
+    a = b = None
+    while True:
+        try:
+            for a, b in products:
+                brows = b._ints
+                for acc, arow in zip(out, a._ints):
+                    for k, x in arow:
+                        for j, y in brows[k]:
+                            v = acc.get(j)
+                            acc[j] = x * y if v is None else v + x * y
+            break
+        except TypeError:
+            if a._ints is not None and b._ints is not None:
+                raise
+            a._numerators(), b._numerators()
+            products = chain([(a, b)], products)
+            if a._ints is None or b._ints is None:
+                return _numerator_sum(F, ncols, out, products, terms)
+    for i, (c, m) in enumerate(terms):
+        if m._ints is None:
+            m._numerators()
+        rows = m._ints
+        if rows is None or type(c) is not int:
+            return _numerator_sum(F, ncols, out, (), terms[i:])
+        for acc, row in zip(out, rows):
             for j, v in row:
                 w = acc.get(j)
                 acc[j] = c * v if w is None else w + c * v
-
-
-def reduce_rows(F, accumulators):
-    """{column: sum} row accumulators as canonical sparse rows: each sum
-    reduced (over F_p taken % p; over Q a Fraction that lands on an
-    integer leaves as the int, as fields.integral reads it, so every later
-    product with it runs on ints), zeros dropped, columns in increasing
-    order."""
     p = F.p
     if p is None:
-        return [
-            [(j, v.numerator if v.denominator == 1 else v) for j, v in sorted(acc.items()) if v]
-            for acc in accumulators
-        ]
-    return [[(j, r) for j, v in sorted(acc.items()) if (r := v % p)] for acc in accumulators]
+        rows = [[(j, v) for j, v in sorted(acc.items()) if v] for acc in out]
+    else:
+        rows = [[(j, r) for j, v in sorted(acc.items()) if (r := v % p)] for acc in out]
+    return Matrix.sparse(F, rows, ncols, True)
+
+
+def _numerator_sum(F, ncols, out, products, terms):
+    """The rest of a product_sum over Q on integer numerators, out holding
+    the int sums so far. With a = A/da, b = B/db and m = M/dm in numerator
+    form (Matrix._numerators) and c = cn/cd, every product and term is an
+    int matrix over da * db or cd * dm, so the whole sum is one int matrix
+    S over their lcm L, out scaled by L included. A cell of S leaves as the
+    int S/L where L divides it, else as Fraction(S, L); the result keeps
+    its numerator form, over L / gcd(L, every cell)."""
+    parts = [(a._numerators(), b._numerators()) for a, b in products]
+    weights = [(c, m._numerators()) for c, m in terms]
+    L = lcm(*[da * db for (da, _), (db, _) in parts], *[c.denominator * dm for c, (dm, _) in weights])
+    if L != 1:
+        for acc in out:
+            for j, v in acc.items():
+                acc[j] = v * L
+    for (da, an), (db, b) in parts:
+        s = L // (da * db)
+        for acc, arow in zip(out, an):
+            for k, x in arow:
+                x *= s
+                for j, y in b[k]:
+                    v = acc.get(j)
+                    acc[j] = x * y if v is None else v + x * y
+    for c, (dm, rows) in weights:
+        c = c.numerator * (L // (c.denominator * dm))
+        for acc, row in zip(out, rows):
+            for j, v in row:
+                w = acc.get(j)
+                acc[j] = c * v if w is None else w + c * v
+    g = gcd(L, *[v for acc in out for v in acc.values()])
+    D = L // g
+    num = [[(j, v // g) for j, v in sorted(acc.items()) if v] for acc in out]
+    if D == 1:
+        return Matrix.sparse(F, num, ncols, True)
+    rows = [[(j, v // D if v % D == 0 else Fraction(v, D)) for j, v in row] for row in num]
+    m = Matrix.sparse(F, rows, ncols)
+    m._num = D, num
+    return m
 
 
 def solve(a: Matrix, b: list):

@@ -5,7 +5,8 @@ fraction-free (Bareiss) elimination instead of the library's Gauss-Jordan
 kernel, direct expansion of defining formulas instead of the assembled
 operators, and truncated polynomial arithmetic for series identities. Every
 matrix product in an oracle is dense_product, a schoolbook triple loop over
-dense rows, never the library's sparse series product.
+dense rows, never the library's sparse series product; reference_defects
+also sums on the dense rows' scalars, with no Matrix arithmetic at all.
 
 Random algebra/module pairs come from a catalog of known-valid examples
 pushed through random unimodular basis changes, so validity is exact by
@@ -200,27 +201,47 @@ def reference_differential_matrix(module, degree):
 # whole-matrix multiplicativity oracle
 
 
+def reference_defects(d: ApproximateDeformation, n):
+    """{(i, j): dense rows} of the order-n multiplicativity defect
+    sum_{a+b=n} xi_a(e_i) xi_b(e_j) - sum_k c_ij^k xi_n(e_k) at every basis
+    pair, xi_0 the action and a term past the order zero. Each entry is
+    summed from the field's zero over the scalars of the dense rows and
+    reduced once: no Matrix sum or product is used, so over Q this is
+    plain Fraction arithmetic, independent of linalg.product_sum."""
+    mod, F, dim = d.module, d.module.field, d.module.dim
+    alg = mod.algebra
+    zero = [[F.zero] * dim for _ in range(dim)]
+    xi = [[m.data for m in deformation_value_series(d, k)] + [zero] for k in range(alg.dim)]
+
+    def term(k, m):
+        return xi[k][min(m, d.order + 1)]
+
+    out = {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            pairs = [(term(i, a), term(j, n - a)) for a in range(n + 1)]
+            consts = [(c, term(k, n)) for k, c in enumerate(alg.structure[i][j]) if c]
+            out[(i, j)] = [
+                [
+                    F.reduce(
+                        sum((x[r][s] * y[s][col] for x, y in pairs for s in range(dim)), F.zero)
+                        - sum((c * m[r][col] for c, m in consts), F.zero)
+                    )
+                    for col in range(dim)
+                ]
+                for r in range(dim)
+            ]
+    return out
+
+
 def reference_check_deformation(d: ApproximateDeformation):
     """The first violated relation xi_n(e_i e_j) = sum_{a+b=n} xi_a(e_i)
     xi_b(e_j), orders then basis pairs in increasing order, as (order, i,
-    j), or None: both sides are built as whole matrices from the term
-    series and compared."""
-    mod = d.module
-    alg = mod.algebra
-    F = mod.field
-    series = [deformation_value_series(d, k) for k in range(alg.dim)]
+    j), or None: the first nonzero entry of reference_defects."""
     for n in range(d.order + 1):
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = Matrix.zeros(F, mod.dim, mod.dim)
-                for k, c in enumerate(alg.structure[i][j]):
-                    if c:
-                        lhs = lhs + series[k][n].scale(c)
-                rhs = Matrix.zeros(F, mod.dim, mod.dim)
-                for a in range(n + 1):
-                    rhs = rhs + dense_product(series[i][a], series[j][n - a])
-                if lhs != rhs:
-                    return n, i, j
+        for (i, j), defect in reference_defects(d, n).items():
+            if any(any(row) for row in defect):
+                return n, i, j
     return None
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -584,60 +585,105 @@ def _values(m):
     return [v for row in m.rows for _, v in row]
 
 
-def test_products_of_int_matrices_hold_only_ints_over_q():
+def test_products_of_int_matrices_hold_only_ints_over_q(monkeypatch):
     """Over Q each accumulated cell starts as its first product, not as
-    the field's Fraction zero, so products and series terms of int-only
-    matrices, less int multiples, hold only ints."""
+    the field's Fraction zero, so products, series terms, sums,
+    differences, negations and int scalings of int-only matrices, less int
+    multiples, hold only ints, and they never build a Fraction: the
+    integer-numerator loop and linalg's Fraction are never reached."""
+    from moddef import linalg
+
+    def refuse(*args):
+        raise AssertionError("a Fraction path was taken")
+
+    monkeypatch.setattr(linalg, "_numerator_sum", refuse)
+    monkeypatch.setattr(linalg, "Fraction", refuse)
     a = Matrix(QQ, [[2, 1, -3], [0, -1, 0], [1, 0, 2]])
     b = Matrix(QQ, [[1, -1], [0, 3], [-2, 0]])
     c = Matrix(QQ, [[0, 1, 1], [1, 0, 0], [0, 0, -1]])
     left, right = [a, c, a @ a], [b, Matrix.zeros(QQ, 3, 2), c @ b]
     minus = [(2, a @ b), (-1, Matrix(QQ, [[0, 5], [1, 0], [0, 0]]))]
-    for m in (left[0] @ right[0], series_term(left, right, 2), series_term(left, right, 2, minus)):
+    results = [left[0] @ right[0], series_term(left, right, 2), series_term(left, right, 2, minus)]
+    results += [a + c, a - c, -a, a.scale(-3), (a - a) + c]
+    for m in results:
         values = _values(m)
         assert values and all(type(v) is int for v in values)
 
 
+def test_a_type_error_of_the_values_leaves_the_int_loop():
+    """The int loop reads a factor whose int rows are unknown or absent
+    through a TypeError; one raised by the values themselves, of factors
+    whose int rows are known, propagates instead of restarting the loop."""
+    bad = Matrix.sparse(PrimeField(7), [[(0, None)]], 1)
+    with pytest.raises(TypeError):
+        bad @ bad
+
+
+def _lowest_terms(m):
+    """Every integral cell of m is an int and every other one a Fraction
+    in lowest terms with a positive denominator other than 1."""
+    return all(
+        type(v) is int or (type(v) is Fraction and v.denominator > 1 and math.gcd(v.numerator, v.denominator) == 1)
+        for v in _values(m)
+    )
+
+
+# denominators 1 to 4, coprime and large ones, none divisible by 13
+_DENOMINATORS = st.one_of(
+    st.integers(1, 4),
+    st.sampled_from((7, 9, 11, 2**16, 3**10, 10007, 2**61 - 1)),
+    st.integers(1, 10**15).filter(lambda d: d % 13),
+)
+
+
 @st.composite
 def mixed_series(draw):
-    """(left, right, n, minus) as dense rows: two lists of up to 3 terms of
-    up to 3x3 matrices (some all zero) with entries 0, ints and Fractions
-    over denominators 1 to 3, and up to 2 subtracted terms with int or
-    Fraction coefficients."""
+    """(left, right, n, minus, extra, s) as dense rows: two lists of up to 3
+    terms of up to 3x3 matrices (some all zero, some all ints) with entries
+    0, ints and Fractions over _DENOMINATORS, up to 2 subtracted terms with
+    int or Fraction coefficients, one more matrix of the result's shape and
+    a scalar."""
     scalars = st.one_of(
         st.just(0),
         st.integers(-3, 3),
-        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+        st.builds(Fraction, st.integers(-3, 3), _DENOMINATORS),
+        st.builds(Fraction, st.integers(-(10**20), 10**20), _DENOMINATORS),
     )
     r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
 
     def matrix(nrows, ncols):
-        if draw(st.integers(0, 4)) == 0:
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
             return [[0] * ncols for _ in range(nrows)]
-        return [[draw(scalars) for _ in range(ncols)] for _ in range(nrows)]
+        cells = st.integers(-3, 3) if kind == 1 else scalars
+        return [[draw(cells) for _ in range(ncols)] for _ in range(nrows)]
 
     left = [matrix(r, k) for _ in range(draw(st.integers(1, 3)))]
     right = [matrix(k, c) for _ in range(draw(st.integers(1, 3)))]
     n = draw(st.integers(0, len(left) + len(right) - 2))
     minus = [(draw(scalars), matrix(r, c)) for _ in range(draw(st.integers(0, 2)))]
-    return left, right, n, minus
+    return left, right, n, minus, matrix(r, c), draw(scalars)
 
 
 @settings(max_examples=300)
 @given(mixed_series())
 def test_series_term_of_mixed_ints_and_fractions_is_the_fraction_sum(case):
-    """Over Q, cells summed from a mix of int and Fraction products equal
-    the plain Fraction sum; over F_13 the same series, read mod 13, gives
-    that sum mod 13 (every denominator is prime to 13)."""
-    left, right, n, minus = case
+    """Over Q, cells summed from a mix of int and Fraction products, over
+    small, coprime and large denominators, less int or Fraction multiples,
+    equal the plain Fraction sum, and so do @, +, -, negation and scale;
+    each result holds ints where integral and Fractions in lowest terms
+    elsewhere. Over F_13 the same series, read mod 13, gives that sum mod
+    13 (every denominator is prime to 13)."""
+    left, right, n, minus, extra, s = case
     span = range(max(0, n - len(right) + 1), min(n, len(left) - 1) + 1)
+
+    def product(x, y):
+        return [[sum((Fraction(u) * Fraction(v) for u, v in zip(row, col)), Fraction(0)) for col in zip(*y)] for row in x]
+
     want = [
         [
-            sum(
-                (Fraction(x) * Fraction(y) for i in span for x, y in zip(left[i][a], [row[b] for row in right[n - i]])),
-                Fraction(0),
-            )
-            - sum((Fraction(s) * Fraction(m[a][b]) for s, m in minus), Fraction(0))
+            sum((product(left[i], right[n - i])[a][b] for i in span), Fraction(0))
+            - sum((Fraction(w) * Fraction(m[a][b]) for w, m in minus), Fraction(0))
             for b in range(len(right[0][0]))
         ]
         for a in range(len(left[0]))
@@ -648,11 +694,23 @@ def test_series_term_of_mixed_ints_and_fractions_is_the_fraction_sum(case):
             return Matrix(F, [[convert(x) for x in row] for row in rows], len(rows[0]))
 
         return series_term(
-            [mat(m) for m in left], [mat(m) for m in right], n, [(convert(s), mat(m)) for s, m in minus]
+            [mat(m) for m in left], [mat(m) for m in right], n, [(convert(w), mat(m)) for w, m in minus]
         )
 
     got = over(QQ, lambda x: x)
     assert got.data == want
+    E = Matrix(QQ, extra)
+    cases = [
+        (got, want),
+        (Matrix(QQ, left[0]) @ Matrix(QQ, right[0]), product(left[0], right[0])),
+        (got + E, [[x + y for x, y in zip(p, q)] for p, q in zip(want, extra)]),
+        (got - E, [[x - y for x, y in zip(p, q)] for p, q in zip(want, extra)]),
+        (-E, [[-Fraction(y) for y in q] for q in extra]),
+        (got.scale(s), [[Fraction(s) * x for x in p] for p in want]),
+    ]
+    for m, rows in cases:
+        assert m.data == rows
+        assert _lowest_terms(m)
     F13 = PrimeField(13)
 
     def mod13(x):
