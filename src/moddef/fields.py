@@ -29,9 +29,9 @@ first term, not from zero, so a sum of ints stays an int: the operator
 products, sums, differences, negations and scalings are all
 ``linalg.product_sum`` (so ``series_term``, ``Matrix.__matmul__`` and
 ``Matrix._combination``), and ``cochain.differential`` does the same.
-Once a factor holds a Fraction, ``product_sum`` sums int numerators over
-one common denominator L instead, and a cell leaves as the int where L
-divides it, else as the Fraction in lowest terms, so
+``product_sum`` sums int numerators over the lcm L of its factors'
+denominators (1 while every factor is integral), and a cell leaves as the
+int where L divides it, else as the Fraction in lowest terms, so
 ``Matrix(QQ, [[1, 2]]).scale(Fraction(1, 2))`` holds 1/2 and the int 1.
 Only ``Matrix.identity``,
 ``Cochain.flatten``, ``solve`` and ``Matrix.kernel_basis`` still start

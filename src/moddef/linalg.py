@@ -16,14 +16,14 @@ matrix are a view, built afresh on each read of ``data``, for encoding
 and tests.
 
 Every operator product, sum, difference, negation and scaling is one loop,
-``product_sum``. It sums ints while every factor holds ints (always over
-F_p). Over Q, a factor that holds a Fraction is multiplied as int
-numerator rows over one positive denominator, computed once per matrix and
-cached on it, and the sum runs over the lcm of the denominators, so a
-Fraction is built only where a cell leaves the sum. Whether a matrix holds
-a Fraction is decided where it is built (by the dense constructor,
-``product_sum`` and ``Cochain.unflatten``) or else when it is first
-multiplied, never per product.
+``product_sum``, and it sums on ints: each factor is read as int numerator
+rows over one positive denominator, 1 for an integral matrix and always
+over F_p, computed once per matrix and cached on it, and the cells run
+over the lcm of the denominators seen so far, so a Fraction is built only
+where a cell leaves the sum (fraction-free, as in Bareiss, Math. Comp. 22,
+1968). Whether a matrix holds a Fraction is decided where it is built (by
+the dense constructor, ``product_sum`` and ``Cochain.unflatten``) or else
+when it is first multiplied, never per product.
 
 ``Matrix.rref`` and ``solve`` import the elimination kernel locally, as
 ``_backend.kernel``, so a call that never eliminates (validation) never
@@ -32,7 +32,6 @@ tracer's patches of them hold.
 """
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 from .errors import InputError
@@ -46,13 +45,13 @@ class Matrix:
     (0, p) over F_p. data is the dense view of rows, a fresh list of lists
     on each read, so a write into it changes nothing.
 
-    _ints and _num are the forms product_sum multiplies. _ints is rows when
-    no entry is a Fraction (always over F_p), and None over Q when one is
-    or while that is unknown (see sparse); _num caches the numerator form
-    of a matrix that holds a Fraction (see _numerators).
+    _num is the form product_sum multiplies, (D, int rows): the rows as int
+    numerators over one positive denominator D. It is (1, rows) when no
+    entry is a Fraction (always over F_p), and None over Q while it is
+    unknown (see sparse and _numerators).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_ops", "_ints", "_num")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_rref", "_ops", "_num")
 
     def __init__(self, field, data, ncols=None):
         """The matrix with these dense rows; only their nonzeros are kept,
@@ -73,8 +72,8 @@ class Matrix:
             rows = [[(j, r) for j, v in enumerate(row) if (r := v % p)] for row in data]
             ints = True
         self.field, self.nrows, self.ncols, self.rows = field, len(data), ncols, rows
-        self._rref = self._ops = self._num = None
-        self._ints = rows if ints else None
+        self._rref = self._ops = None
+        self._num = (1, rows) if ints else None
 
     @classmethod
     def sparse(cls, field, rows, ncols, ints=False):
@@ -83,25 +82,21 @@ class Matrix:
         for when product_sum first multiplies it."""
         m = cls.__new__(cls)
         m.field, m.nrows, m.ncols, m.rows = field, len(rows), ncols, rows
-        m._rref = m._ops = m._num = None
-        m._ints = rows if ints or field.p is not None else None
+        m._rref = m._ops = None
+        m._num = (1, rows) if ints or field.p is not None else None
         return m
 
     def _numerators(self):
-        """(D, numerator rows): the rows as int numerators over their least
-        common positive denominator D, computed once. A matrix found here
-        to hold no Fraction gets _ints = rows (D = 1), so product_sum
-        multiplies it on ints from then on."""
-        if self._ints is not None:
-            return 1, self._ints
+        """The numerator form _num, computed once: (D, numerator rows), the
+        rows as int numerators over their least common positive
+        denominator D, 1 when no entry is a Fraction."""
         if self._num is None:
             rows = self.rows
             dens = {v.denominator for row in rows for _, v in row if type(v) is not int}
-            if not dens:
-                self._ints = rows
-                return 1, rows
             D = lcm(*dens)
-            self._num = D, [[(j, v.numerator * (D // v.denominator)) for j, v in row] for row in rows]
+            if dens:
+                rows = [[(j, v.numerator * (D // v.denominator)) for j, v in row] for row in rows]
+            self._num = D, rows
         return self._num
 
     @property
@@ -250,98 +245,74 @@ def series_term(left, right, n, minus=()):
 
 def product_sum(F, nrows, ncols, products, terms=()):
     """The nrows x ncols sum of a @ b over (a, b) in products plus c * m
-    over (c, m) in the sequence terms, c an int, or over Q a Fraction:
-    every operator product, sum, difference, negation and scaling.
+    over (c, m) in terms, c an int, or over Q a Fraction: every operator
+    product, sum, difference, negation and scaling.
 
-    Only nonzeros are multiplied: each row sums into a {column: value}
+    One loop sums every product and term on ints. It reads each factor in
+    its numerator form (D, int rows) (see Matrix._numerators), where D is 1
+    for an integral matrix and always over F_p, and c = n/d as n over d.
+    Its cells are int numerators over L, the lcm of the denominators seen
+    so far (da * db for a product, d * dm for a term): one that does not
+    divide L multiplies L, and every cell summed so far, by what it lacks.
+    Only nonzeros are multiplied, and each row sums into a {column: value}
     accumulator whose cell starts as its first product or term, never from
-    a zero. While no factor holds a Fraction and every c is an int (always
-    over F_p) the cells are ints, reduced % p over F_p at the end. Over Q,
-    from the first factor or c that holds a Fraction on, the sum goes on
-    over integer numerators (see _numerator_sum), so no cell is ever a
-    Fraction while it is summed.
+    a zero.
 
-    The int loop checks nothing per product: it reads each factor's _ints,
-    and a None there (a Fraction held, or not yet looked for) raises a
-    TypeError before anything of that product is added. The pair is then
-    looked at once (see Matrix._numerators), and the sum goes on from it,
-    on ints again if both factors turn out integral."""
+    A cell S leaves as the int S/L where L divides it, else as the Fraction
+    S/L in lowest terms, and over F_p (where L is 1) as S % p; the result
+    keeps its numerator form, over L / gcd(L, every cell)."""
     out = [{} for _ in range(nrows)]
-    products = iter(products)
-    a = b = None
-    while True:
-        try:
-            for a, b in products:
-                brows = b._ints
-                for acc, arow in zip(out, a._ints):
-                    for k, x in arow:
-                        for j, y in brows[k]:
-                            v = acc.get(j)
-                            acc[j] = x * y if v is None else v + x * y
-            break
-        except TypeError:
-            if a._ints is not None and b._ints is not None:
-                raise
-            a._numerators(), b._numerators()
-            products = chain([(a, b)], products)
-            if a._ints is None or b._ints is None:
-                return _numerator_sum(F, ncols, out, products, terms)
-    for i, (c, m) in enumerate(terms):
-        if m._ints is None:
-            m._numerators()
-        rows = m._ints
-        if rows is None or type(c) is not int:
-            return _numerator_sum(F, ncols, out, (), terms[i:])
+    L = 1
+    for a, b in products:
+        da, arows = a._num or a._numerators()
+        db, brows = b._num or b._numerators()
+        d, s = da * db, 1
+        if d != L:
+            if L % d:
+                L = _widen(out, L, d)
+            s = L // d
+        for acc, arow in zip(out, arows):
+            for k, x in arow:
+                x *= s
+                for j, y in brows[k]:
+                    v = acc.get(j)
+                    acc[j] = x * y if v is None else v + x * y
+    for c, m in terms:
+        dm, rows = m._num or m._numerators()
+        d = c.denominator * dm
+        if L % d:
+            L = _widen(out, L, d)
+        c = c.numerator * (L // d)
         for acc, row in zip(out, rows):
             for j, v in row:
                 w = acc.get(j)
                 acc[j] = c * v if w is None else w + c * v
     p = F.p
-    if p is None:
-        rows = [[(j, v) for j, v in sorted(acc.items()) if v] for acc in out]
-    else:
+    if p is not None:
         rows = [[(j, r) for j, v in sorted(acc.items()) if (r := v % p)] for acc in out]
-    return Matrix.sparse(F, rows, ncols, True)
-
-
-def _numerator_sum(F, ncols, out, products, terms):
-    """The rest of a product_sum over Q on integer numerators, out holding
-    the int sums so far. With a = A/da, b = B/db and m = M/dm in numerator
-    form (Matrix._numerators) and c = cn/cd, every product and term is an
-    int matrix over da * db or cd * dm, so the whole sum is one int matrix
-    S over their lcm L, out scaled by L included. A cell of S leaves as the
-    int S/L where L divides it, else as Fraction(S, L); the result keeps
-    its numerator form, over L / gcd(L, every cell)."""
-    parts = [(a._numerators(), b._numerators()) for a, b in products]
-    weights = [(c, m._numerators()) for c, m in terms]
-    L = lcm(*[da * db for (da, _), (db, _) in parts], *[c.denominator * dm for c, (dm, _) in weights])
+        return Matrix.sparse(F, rows, ncols, True)
+    num = [[(j, v) for j, v in sorted(acc.items()) if v] for acc in out]
     if L != 1:
-        for acc in out:
-            for j, v in acc.items():
-                acc[j] = v * L
-    for (da, an), (db, b) in parts:
-        s = L // (da * db)
-        for acc, arow in zip(out, an):
-            for k, x in arow:
-                x *= s
-                for j, y in b[k]:
-                    v = acc.get(j)
-                    acc[j] = x * y if v is None else v + x * y
-    for c, (dm, rows) in weights:
-        c = c.numerator * (L // (c.denominator * dm))
-        for acc, row in zip(out, rows):
-            for j, v in row:
-                w = acc.get(j)
-                acc[j] = c * v if w is None else w + c * v
-    g = gcd(L, *[v for acc in out for v in acc.values()])
-    D = L // g
-    num = [[(j, v // g) for j, v in sorted(acc.items()) if v] for acc in out]
-    if D == 1:
+        g = gcd(L, *[v for row in num for _, v in row])
+        L //= g
+        if g != 1:
+            num = [[(j, v // g) for j, v in row] for row in num]
+    if L == 1:
         return Matrix.sparse(F, num, ncols, True)
-    rows = [[(j, v // D if v % D == 0 else Fraction(v, D)) for j, v in row] for row in num]
+    rows = [[(j, v // L if v % L == 0 else Fraction(v, L)) for j, v in row] for row in num]
     m = Matrix.sparse(F, rows, ncols)
-    m._num = D, num
+    m._num = L, num
     return m
+
+
+def _widen(out, L, d):
+    """lcm(L, d), every cell of out, a sum over L, multiplied by what L
+    lacks of d, so that it is the same sum over lcm(L, d)."""
+    t = d // gcd(L, d)
+    for acc in out:
+        for j, v in acc.items():
+            acc[j] = v * t
+    return L * t
 
 
 def solve(a: Matrix, b: list):

@@ -5,8 +5,10 @@ fraction-free (Bareiss) elimination instead of the library's Gauss-Jordan
 kernel, direct expansion of defining formulas instead of the assembled
 operators, and truncated polynomial arithmetic for series identities. Every
 matrix product in an oracle is dense_product, a schoolbook triple loop over
-dense rows, never the library's sparse series product; reference_defects
-also sums on the dense rows' scalars, with no Matrix arithmetic at all.
+dense rows, and every matrix sum is dense_sum (or, in reference_defects,
+the same sum written out), entrywise over the dense rows' scalars: no
+oracle uses the library's Matrix +, -, scale or @, which are all
+linalg.product_sum.
 
 Random algebra/module pairs come from a catalog of known-valid examples
 pushed through random unimodular basis changes, so validity is exact by
@@ -115,27 +117,23 @@ def reference_differential(f: Cochain) -> Cochain:
     """The differential of f straight from the defining formula, with
     operator values: a0 . f(a1, ..., an) and f(a0, ..., a_{n-1}) . an as
     matrix products, each inner product a_{i-1} a_i expanded through the
-    structure constants, all summed per output tuple."""
+    structure constants, all summed per output tuple by dense_sum."""
     mod = f.module
     alg = mod.algebra
     F = mod.field
     n = f.degree
-    acc = {}
-
-    def add_to(key, mat):
-        cur = acc.get(key)
-        acc[key] = mat if cur is None else cur + mat
-
+    terms = {}
     for key, mat in f.entries.items():
+        rows = mat.data
         for a in range(alg.dim):
-            add_to((a,) + key, dense_product(mod.action[a], mat))
-            tail = dense_product(mat, mod.action[a])
-            add_to(key + (a,), tail if n % 2 else -tail)
+            terms.setdefault((a,) + key, []).append((1, dense_product(mod.action[a], mat).data))
+            tail = dense_product(mat, mod.action[a]).data
+            terms.setdefault(key + (a,), []).append((1 if n % 2 else -1, tail))
         for i in range(1, n + 1):
             head, rest = key[: i - 1], key[i:]
             for a, b, coef in alg.product_support[key[i - 1]]:
-                add_to(head + (a, b) + rest, mat.scale(F.reduce(-coef) if i % 2 else coef))
-    return Cochain(mod, n + 1, acc)
+                terms.setdefault(head + (a, b) + rest, []).append((F.reduce(-coef) if i % 2 else coef, rows))
+    return Cochain(mod, n + 1, {key: dense_sum(F, t, mod.dim, mod.dim) for key, t in terms.items()})
 
 
 def _reference_column(module, key, r, c):
@@ -274,13 +272,10 @@ def basis_vector(alg: Algebra, i):
 
 
 def act(mod: Module, coords):
-    """Matrix of the algebra element with the given coordinates, as a sum
-    of scaled copies of the action matrices."""
-    out = Matrix.zeros(mod.field, mod.dim, mod.dim)
-    for c, m in zip(coords, mod.action):
-        if c:
-            out = out + m.scale(c)
-    return out
+    """Matrix of the algebra element with the given coordinates, as the
+    dense_sum of scaled copies of the action matrices."""
+    terms = [(c, m.data) for c, m in zip(coords, mod.action) if c]
+    return dense_sum(mod.field, terms, mod.dim, mod.dim)
 
 
 def reference_validate_algebra(alg: Algebra):
@@ -411,6 +406,17 @@ def dense_product(a: Matrix, b: Matrix):
         for row in a.data
     ]
     return Matrix(F, out, b.ncols)
+
+
+def dense_sum(F, terms, nrows, ncols):
+    """The nrows x ncols sum of c * m over (c, m) in terms, c a scalar or
+    an int and m dense rows: each entry summed from the field's zero over
+    the scalars and reduced once, with no Matrix arithmetic."""
+    out = [
+        [F.reduce(sum((c * m[r][s] for c, m in terms), F.zero)) for s in range(ncols)]
+        for r in range(nrows)
+    ]
+    return Matrix(F, out, ncols)
 
 
 def record_dense_reads(monkeypatch):
@@ -743,17 +749,13 @@ def random_automorphism(mod, order, rng, scale=2):
 
 def poly_mat_mul(a, b, order):
     """Coefficient list of the product of two matrix polynomials, truncated:
-    order + 1 terms, each summed from dense_product."""
-    dim = a[0].nrows
-    out = [Matrix.zeros(a[0].field, dim, dim) for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] = out[i + j] + dense_product(ai, bj)
-    return out
+    order + 1 terms, each the dense_sum of dense_product terms."""
+    F, dim = a[0].field, a[0].nrows
+    terms = [[] for _ in range(order + 1)]
+    for i, ai in enumerate(a[: order + 1]):
+        for j, bj in enumerate(b[: order + 1 - i]):
+            terms[i + j].append((1, dense_product(ai, bj).data))
+    return [dense_sum(F, t, dim, dim) for t in terms]
 
 
 def deformation_value_series(d: ApproximateDeformation, basis_index):
@@ -764,15 +766,13 @@ def deformation_value_series(d: ApproximateDeformation, basis_index):
 def reference_series_inverse(a, order):
     """Coefficient list of the inverse of the matrix polynomial a, whose
     term 0 is the identity, truncated: psi_0 = 1 and psi_n = -sum_{i=1..n}
-    a_i psi_{n-i}, each product from dense_product."""
+    a_i psi_{n-i}, each product from dense_product and the sum dense_sum."""
     F, dim = a[0].field, a[0].nrows
     assert a[0] == Matrix.identity(F, dim), "term 0 is not the identity"
     psi = [a[0]]
     for n in range(1, order + 1):
-        acc = Matrix.zeros(F, dim, dim)
-        for i in range(1, min(n, len(a) - 1) + 1):
-            acc = acc - dense_product(a[i], psi[n - i])
-        psi.append(acc)
+        terms = [(-1, dense_product(a[i], psi[n - i]).data) for i in range(1, min(n, len(a) - 1) + 1)]
+        psi.append(dense_sum(F, terms, dim, dim))
     return psi
 
 
@@ -821,8 +821,9 @@ def reference_normalize(d: ApproximateDeformation):
         witness = coboundary_witness(current.terms[lead - 1])
         if witness is None:
             break
-        zero = mod.zero_operator()
-        step = FormalAutomorphism(mod, [zero] * (lead - 1) + [-witness.value(())])
+        zero, g = mod.zero_operator(), witness.value(())
+        minus_g = dense_sum(mod.field, [(-1, g.data)], g.nrows, g.ncols)
+        step = FormalAutomorphism(mod, [zero] * (lead - 1) + [minus_g])
         current = from_value_series(mod, reference_conjugate(step, current))
         composite = poly_mat_mul(composite, automorphism_polynomial(step), m)
     return current, composite[1:], lead

@@ -42,7 +42,8 @@ from moddef.deformation import (
     obstruction_outcome,
     rigidity_check,
 )
-from moddef.documents import encode_algebra, encode_module, parse_problem
+from moddef.cli import run
+from moddef.documents import encode_algebra, encode_cochain, encode_deformation, encode_module, parse_problem
 from moddef.errors import InputError
 from moddef.fields import PrimeField, QQ
 from moddef.fixtures import fixture_a, fixture_b, fixture_c, fixture_documents
@@ -726,3 +727,35 @@ def test_integral_deformations_stay_on_ints():
         values = _values(*d1.terms, outcome.obstruction, outcome.witness)
         values += [v for row in phi.terms[-1].rows for _, v in row]
         assert all(type(v) is int for v in values)
+
+
+def test_no_command_looks_for_fractions_in_an_integral_pair(monkeypatch):
+    """Whether a matrix holds a Fraction is decided where it is built,
+    never per product: no command on the integral fixtures B and C, and
+    neither integrate nor normalize on an integral jordan_module(3, 3)
+    deformation, computes a numerator form (a Matrix._numerators call with
+    none cached). Only the commands are counted, not the parsing."""
+    alg, j33 = jordan_module(3, 3)
+    doc = {"field": "Q", "algebra": encode_algebra(alg), "module": encode_module(j33)}
+    mod = parse_problem(doc).module
+    seed = differential(Cochain(mod, 0, {(): Matrix(QQ, [[1, -2, 0], [0, 1, 2], [1, 0, -1]])}))
+    d = integrate(seed, 6)
+    doc.update(options={"order": 6}, cochain=encode_cochain(seed), deformation=encode_deformation(d))
+    commands = ("integrate", "normalize", "extend", "obstruction", "conjugate", "equiv-step", "coboundary")
+    fixtures = fixture_documents()
+    calls = [(c, fixtures[name]) for name in "BC" for c in commands]
+    calls += [(c, doc) for c in ("integrate", "normalize")]
+    problems = [(c, parse_problem(problem)) for c, problem in calls]
+    computed = []
+    compute = Matrix._numerators
+
+    def counted(self):
+        if self._num is None:
+            computed.append((self.nrows, self.ncols))
+        return compute(self)
+
+    monkeypatch.setattr(Matrix, "_numerators", counted)
+    for command, problem in problems:
+        result, code = run(command, problem)
+        assert code in (0, 1) and result["verdict"]
+    assert computed == []

@@ -590,13 +590,12 @@ def test_products_of_int_matrices_hold_only_ints_over_q(monkeypatch):
     the field's Fraction zero, so products, series terms, sums,
     differences, negations and int scalings of int-only matrices, less int
     multiples, hold only ints, and they never build a Fraction: the
-    integer-numerator loop and linalg's Fraction are never reached."""
+    Fraction of linalg is never called."""
     from moddef import linalg
 
     def refuse(*args):
-        raise AssertionError("a Fraction path was taken")
+        raise AssertionError("a Fraction was built")
 
-    monkeypatch.setattr(linalg, "_numerator_sum", refuse)
     monkeypatch.setattr(linalg, "Fraction", refuse)
     a = Matrix(QQ, [[2, 1, -3], [0, -1, 0], [1, 0, 2]])
     b = Matrix(QQ, [[1, -1], [0, 3], [-2, 0]])
@@ -611,9 +610,8 @@ def test_products_of_int_matrices_hold_only_ints_over_q(monkeypatch):
 
 
 def test_a_type_error_of_the_values_leaves_the_int_loop():
-    """The int loop reads a factor whose int rows are unknown or absent
-    through a TypeError; one raised by the values themselves, of factors
-    whose int rows are known, propagates instead of restarting the loop."""
+    """A TypeError raised by the values themselves, here a None cell of
+    factors whose numerator form is known, propagates out of the loop."""
     bad = Matrix.sparse(PrimeField(7), [[(0, None)]], 1)
     with pytest.raises(TypeError):
         bad @ bad
